@@ -3,17 +3,13 @@
 Each catalog lists one (name, group) pair per isomorphism type, built
 from the formula-backed constructors.  Orders are limited to those with
 complete hand-checkable lists; anything else raises
-UnsupportedOrderError.  Set ORDSEQ_CACHE_DIR to persist catalogs as
-multiplication tables between runs.
+UnsupportedOrderError.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from functools import lru_cache
 from itertools import product
-from pathlib import Path
 
 from .errors import PreconditionError, UnsupportedOrderError
 from .groups import (
@@ -21,7 +17,6 @@ from .groups import (
     DicyclicGroup,
     FiniteGroup,
     SemidirectProductGroup,
-    TableGroup,
     abelian,
     alternating,
     cyclic,
@@ -39,20 +34,6 @@ KNOWN_GROUP_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2,
     11: 1, 12: 5, 13: 1, 14: 2, 15: 1, 16: 14, 20: 5, 21: 2, 60: 13,
 }
-
-# Cross-reference ids in the standard small-group library numbering,
-# recorded as documentation only; nothing computes from them.  Ids 9,
-# 10 and 11 at order 60 are, as a set, C5xA4, C3xD20 and C5xD12.
-SMALL_GROUP_IDS = {
-    "Dic12": (12, 1),
-    "A4": (12, 3),
-    "C60": (60, 4),
-    "A5": (60, 5),
-    "C2xC30": (60, 13),
-}
-
-_CACHE_VERSION = "v1"
-_CACHE_TABLE_LIMIT = 1024
 
 
 def supported_orders() -> tuple[int, ...]:
@@ -174,57 +155,16 @@ def _build_catalog(n: int) -> list[FiniteGroup]:
     raise UnsupportedOrderError(f"no complete catalog for order {n}")
 
 
-def _cache_path(n: int) -> Path | None:
-    root = os.environ.get("ORDSEQ_CACHE_DIR")
-    if not root:
-        return None
-    return Path(root) / f"catalog-{_CACHE_VERSION}-{n}.json"
-
-
-def _load_cached(path: Path, n: int):
-    try:
-        entries = json.loads(path.read_text())
-        pairs = tuple((e["name"], TableGroup(e["table"], e["name"])) for e in entries)
-    except Exception:
-        return None
-    if len(pairs) != KNOWN_GROUP_COUNTS[n] or any(g.size != n for _, g in pairs):
-        return None
-    return pairs
-
-
-def _save_cached(path: Path, pairs) -> None:
-    if any(g.size > _CACHE_TABLE_LIMIT for _, g in pairs):
-        return
-    entries = [
-        {"name": name, "table": [[g.mul(a, b) for b in range(g.size)] for a in range(g.size)]}
-        for name, g in pairs
-    ]
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entries))
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
 @lru_cache(maxsize=None)
 def catalog(n: int) -> tuple[tuple[str, FiniteGroup], ...]:
     """All groups of order n up to isomorphism, as (name, group) pairs."""
     if n not in KNOWN_GROUP_COUNTS:
         raise UnsupportedOrderError(f"no complete catalog for order {n}")
-    path = _cache_path(n)
-    if path is not None and path.exists():
-        cached = _load_cached(path, n)
-        if cached is not None:
-            return cached
     pairs = tuple((g.name, g) for g in _build_catalog(n))
     if len(pairs) != KNOWN_GROUP_COUNTS[n]:
         raise AssertionError(f"catalog for order {n} has the wrong length")
     if len({name for name, _ in pairs}) != len(pairs):
         raise AssertionError(f"catalog for order {n} has duplicate names")
-    if path is not None:
-        _save_cached(path, pairs)
     return pairs
 
 

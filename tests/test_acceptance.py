@@ -1,11 +1,10 @@
 """End-to-end acceptance checks, one test per numbered requirement.
 
 Run with -v for one pass/fail line per criterion.  The final test builds
-two groups of order 20160 and is skipped unless ORDSEQ_STRETCH is set.
+two groups of order 20160.
 """
 
 import math
-import os
 import random
 
 import pytest
@@ -246,10 +245,6 @@ def test_criterion_12_smallest_antichains():
     _report(12, "all sequences comparable through order 11; order 12 breaks the chain")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("ORDSEQ_STRETCH"),
-    reason="building two groups of order 20160 takes a while; set ORDSEQ_STRETCH=1",
-)
 def test_criterion_13_simple_group_pair():
     rep = suite_simple_pair()
     assert rep.passed, rep.failures

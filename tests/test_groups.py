@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from ordseq.errors import (
     PreconditionError,
 )
 from ordseq.groups import (
+    _seeded_draws,
     abelian,
     alternating,
     cyclic,
@@ -39,6 +41,39 @@ def test_abelian_products():
     assert all(g == 0 or v4.element_order(g) == 2 for g in range(4))
     assert abelian([]).size == 1
     assert abelian([4, 3]).is_isomorphic(cyclic(12))
+
+
+def _digits(a, moduli):
+    out = []
+    for m in reversed(moduli):
+        a, r = divmod(a, m)
+        out.append(r)
+    return out[::-1]
+
+
+def _undigits(parts, moduli):
+    a = 0
+    for m, x in zip(moduli, parts):
+        a = a * m + x
+    return a
+
+
+@pytest.mark.parametrize("moduli", [(1,), (2, 1, 3), (2, 2), (8, 2), (9, 3, 2), (2, 2, 3, 5), (2, 30)])
+def test_abelian_arithmetic_matches_digits(moduli):
+    g = abelian(moduli)
+    digits = [_digits(a, moduli) for a in range(g.size)]
+    for a, da in enumerate(digits):
+        assert g.inv(a) == _undigits([-x % m for x, m in zip(da, moduli)], moduli)
+        for b, db in enumerate(digits):
+            assert g.mul(a, b) == _undigits([(x + y) % m for x, y, m in zip(da, db, moduli)], moduli)
+
+
+@pytest.mark.parametrize("n", [11, 16, 60, 4097, 20160, 25000])
+def test_seeded_draws_match_randrange(n):
+    # the axiom spot-check sample must stay the one randrange draws
+    for seed in (0, n, n + 1):
+        rng = random.Random(seed)
+        assert _seeded_draws(seed, n, 3000) == [rng.randrange(n) for _ in range(3000)]
 
 
 def test_dihedral_and_dicyclic_sequences():

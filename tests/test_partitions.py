@@ -140,6 +140,17 @@ def test_box_move_chain_steps_everywhere():
                 assert _part_product(y) > _part_product(x)
 
 
+def test_box_move_chain_stays_among_partitions_of_n():
+    # suite_partition looks every chain step up among partitions_of(n)
+    for n in range(11):
+        parts = partitions_of(n)
+        known = set(parts)
+        for b in parts:
+            for c in parts:
+                if majorizes(b, c):
+                    assert set(box_move_chain(b, c)) <= known, (b, c)
+
+
 def test_box_move_chain_errors():
     with pytest.raises(SizeMismatch):
         box_move_chain((3,), (2, 2))
