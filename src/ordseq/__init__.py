@@ -66,7 +66,6 @@ from .sequences import (
     nilpotent_from_sequence,
     order_sequence,
     parse_sequence,
-    plausible,
     plausibility_violation,
     psi,
     psi_k,

@@ -257,7 +257,6 @@ def _cmd_partition(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     common.add_argument(
         "--max-size", type=int, default=25000, help="largest group order the parser will build"
     )

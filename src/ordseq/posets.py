@@ -2,7 +2,9 @@
 
 Items compare through a user relation that is only assumed reflexive and
 transitive; mutually comparable items are collapsed into one class unless
-the caller forbids that.
+the caller forbids that.  The transitivity check and the Hasse covers
+work on each row of the relation held as an int bitmask, so a step over
+a whole row is one big-int operation.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import AntisymmetryViolation, ParseError, PreconditionError
+from .errors import AntisymmetryViolation, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,19 @@ class Poset:
 
     def leq(self, a: str, b: str) -> bool:
         return self.relation[self.index(a)][self.index(b)]
+
+
+def _mask(row) -> int:
+    """Row of booleans as an int with bit j set when row[j] holds."""
+    return sum(1 << j for j, x in enumerate(row) if x)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def build_poset(items, leq, collapse: bool = True) -> Poset:
@@ -62,46 +77,44 @@ def build_poset(items, leq, collapse: bool = True) -> Poset:
     reps = sorted(set(cls_of))
     members = tuple(tuple(sorted(names[t] for t in range(k) if cls_of[t] == r)) for r in reps)
     class_names = tuple("=".join(m) for m in members)
-    cr = len(reps)
-    crel = [[False] * cr for _ in range(cr)]
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            crel[a][b] = rel[ra][rb]
-    for a in range(cr):
-        for b in range(cr):
-            for c in range(cr):
-                if crel[a][b] and crel[b][c] and not crel[a][c]:
-                    raise PreconditionError("relation is not transitive")
-    for a in range(cr):
-        for b in range(cr):
-            if a != b and crel[a][b] and crel[b][a]:
+    crel = tuple(tuple(rel[ra][rb] for rb in reps) for ra in reps)
+    cup = [_mask(row) for row in crel]
+    for a, above in enumerate(cup):
+        for b in _bits(above):
+            if cup[b] & ~above:
+                raise PreconditionError("relation is not transitive")
+    for a, above in enumerate(cup):
+        for b in _bits(above & ~(1 << a)):
+            if cup[b] >> a & 1:
                 raise AssertionError("collapsing must leave an antisymmetric relation")
-    return Poset(class_names, members, tuple(tuple(row) for row in crel))
+    return Poset(class_names, members, crel)
 
 
 def hasse(poset: Poset) -> list[tuple[int, int]]:
-    """Cover pairs (lower, higher) of the transitive reduction."""
+    """Cover pairs (lower, higher) of the transitive reduction.
+
+    b covers a when b is strictly above a and nothing lies strictly
+    between them: the strict up-set of a meets the strict down-set of b
+    nowhere.
+    """
     k = len(poset.names)
-    rel = poset.relation
-    covers = []
-    for a in range(k):
-        for b in range(k):
-            if a == b or not rel[a][b]:
-                continue
-            if any(rel[a][c] and rel[c][b] for c in range(k) if c not in (a, b)):
-                continue
-            covers.append((a, b))
+    up = [_mask(row) for row in poset.relation]
+    above = [m & ~(1 << a) for a, m in enumerate(up)]
+    below = [0] * k
+    for a, m in enumerate(above):
+        for b in _bits(m):
+            below[b] |= 1 << a
+    covers = [(a, b) for a in range(k) for b in _bits(above[a]) if not above[a] & below[b]]
     # the reduction must regenerate the original order
-    reach = [[a == b for b in range(k)] for a in range(k)]
+    reach = [1 << a for a in range(k)]
     for a, b in covers:
-        reach[a][b] = True
+        reach[a] |= 1 << b
     for mid in range(k):
+        bit, via = 1 << mid, reach[mid]
         for a in range(k):
-            if reach[a][mid]:
-                for b in range(k):
-                    if reach[mid][b]:
-                        reach[a][b] = True
-    if any(reach[a][b] != rel[a][b] for a in range(k) for b in range(k)):
+            if reach[a] & bit:
+                reach[a] |= via
+    if reach != up:
         raise AssertionError("transitive reduction must close back to the relation")
     return covers
 
@@ -150,24 +163,6 @@ def render(poset: Poset, fmt: str = "dot") -> str:
         }
         return json.dumps(payload, indent=2)
     raise PreconditionError(f"unknown render format {fmt!r}")
-
-
-def hasse_from_json(text: str) -> dict:
-    """Parse and validate the JSON rendering; returns the payload dict."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "items" not in payload or "covers" not in payload:
-        raise ParseError("expected an object with items and covers")
-    items = payload["items"]
-    if not all(isinstance(it, dict) and "name" in it and "members" in it for it in items):
-        raise ParseError("each item needs a name and members")
-    k = len(items)
-    for pair in payload["covers"]:
-        if len(pair) != 2 or not all(isinstance(x, int) and 0 <= x < k for x in pair):
-            raise ParseError(f"cover {pair} does not index the items")
-    return payload
 
 
 def sanitize_identifier(name: str) -> str:

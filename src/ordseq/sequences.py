@@ -10,7 +10,6 @@ that orders divide orders.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, ParseError, PreconditionError
@@ -104,16 +103,19 @@ def rho(seq: OrderSequence) -> int:
 
 
 def dominates(a: OrderSequence, b: OrderSequence) -> bool:
-    """Whether a has at most as many elements of order <= t as b, for all t."""
+    """Whether a has at most as many elements of order <= t as b, for all t.
+
+    Only thresholds at a's orders need checking: between two of them a's
+    count stays fixed while b's can only rise.
+    """
     if a.total != b.total:
         raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
-    ca = cb = ia = ib = 0
-    pa, pb = a.pairs, b.pairs
-    for t in sorted({d for d, _ in pa} | {d for d, _ in pb}):
-        while ia < len(pa) and pa[ia][0] <= t:
-            ca += pa[ia][1]
-            ia += 1
-        while ib < len(pb) and pb[ib][0] <= t:
+    pb = b.pairs
+    nb = len(pb)
+    ca = cb = ib = 0
+    for d, m in a.pairs:
+        ca += m
+        while ib < nb and pb[ib][0] <= d:
             cb += pb[ib][1]
             ib += 1
         if ca > cb:
@@ -149,73 +151,79 @@ def strong_domination(a: OrderSequence, b: OrderSequence):
     Feasible means there is a bijection sending each element counted by b
     to one counted by a whose order it divides.  Returns (True, plan) with
     plan rows (a_order, b_order, amount), or (False, HallCertificate).
+    The plan is one valid transport among possibly many.  The certificate
+    is not a choice: its a-orders are those reachable from the source in
+    the residual graph, a set that every maximum flow leaves the same.
     """
     if a.total != b.total:
         raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
     a_orders = [d for d, _ in a.pairs]
     b_orders = [d for d, _ in b.pairs]
-    # transportation network: source -> a-order -> compatible b-order -> sink
-    source, sink = "s", "t"
-    nodes = [source, sink] + [("a", d) for d in a_orders] + [("b", d) for d in b_orders]
-    cap: dict[tuple, int] = {}
-    adj: dict = {v: [] for v in nodes}
+    # transportation network: source -> a-order -> compatible b-order -> sink;
+    # node 0 is the source, 1 the sink, then a-orders, then b-orders.
+    # Edge i runs to head[i] with residual cap[i]; edge i ^ 1 is its reverse.
+    source, sink = 0, 1
+    a_node = {d: 2 + i for i, d in enumerate(a_orders)}
+    b_node = {e: 2 + len(a_orders) + i for i, e in enumerate(b_orders)}
+    head: list[int] = []
+    cap: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(2 + len(a_orders) + len(b_orders))]
 
     def add_edge(u, v, c):
-        cap[u, v] = c
-        cap[v, u] = 0
-        adj[u].append(v)
-        adj[v].append(u)
+        adj[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        adj[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+        return len(head) - 2
 
-    for d, m in a.pairs:
-        add_edge(source, ("a", d), m)
-    for e, m in b.pairs:
-        add_edge(("b", e), sink, m)
-    for d in a_orders:
-        for e in b_orders:
-            if d % e == 0:
-                add_edge(("a", d), ("b", e), a.total)
+    supply = {d: add_edge(source, a_node[d], m) for d, m in a.pairs}
+    demand = {e: add_edge(b_node[e], sink, m) for e, m in b.pairs}
+    links = [  # (a_order, b_order, edge)
+        (d, e, add_edge(a_node[d], b_node[e], a.total)) for d in a_orders for e in b_orders if d % e == 0
+    ]
 
+    def push(path, amount):
+        for i in path:
+            cap[i] -= amount
+            cap[i ^ 1] += amount
+
+    # saturate same-order links first; augmenting paths finish the flow
     flow = 0
-    while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and cap[u, v] > 0:
-                    parent[v] = u
+    for d, e, i in links:
+        if d == e:
+            amount = min(cap[supply[d]], cap[demand[e]])
+            push((supply[d], i, demand[e]), amount)
+            flow += amount
+    while flow < a.total:
+        via = [-1] * len(adj)  # edge that first reached each node
+        via[source] = -2
+        queue = [source]
+        for u in queue:
+            for i in adj[u]:
+                v = head[i]
+                if via[v] == -1 and cap[i] > 0:
+                    via[v] = i
                     queue.append(v)
-        if sink not in parent:
+            if via[sink] != -1:
+                break
+        if via[sink] == -1:
             break
-        path = [sink]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        path.reverse()
-        push = min(cap[u, v] for u, v in zip(path, path[1:]))
-        for u, v in zip(path, path[1:]):
-            cap[u, v] -= push
-            cap[v, u] += push
-        flow += push
+        path = []
+        v = sink
+        while v != source:
+            path.append(via[v])
+            v = head[via[v] ^ 1]
+        amount = min(cap[i] for i in path)
+        push(path, amount)
+        flow += amount
 
     if flow == a.total:
-        plan = [
-            (d, e, cap[("b", e), ("a", d)])
-            for d in a_orders
-            for e in b_orders
-            if d % e == 0 and cap[("b", e), ("a", d)] > 0
-        ]
-        return True, plan
+        return True, [(d, e, cap[i ^ 1]) for d, e, i in links if cap[i ^ 1] > 0]
 
-    # residual reachability from the source yields a violated Hall condition
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in reach and cap[u, v] > 0:
-                reach.add(v)
-                queue.append(v)
-    stuck_a = tuple(d for d in a_orders if ("a", d) in reach)
+    # the last search reached exactly the residual source side: a Hall violation
+    stuck_a = tuple(d for d in a_orders if via[a_node[d]] != -1)
     covered_b = tuple(e for e in b_orders if any(d % e == 0 for d in stuck_a))
     need = sum(a.multiplicity(d) for d in stuck_a)
     have = sum(b.multiplicity(e) for e in covered_b)
@@ -273,17 +281,6 @@ def plausibility_violation(seq: OrderSequence, n: int | None = None):
     return None
 
 
-def plausible(seq: OrderSequence, n: int | None = None):
-    """Check the cheap necessary conditions for realizability by a group.
-
-    Returns (True, None) or (False, reason) for the first rule violated.
-    """
-    violation = plausibility_violation(seq, n)
-    if violation is None:
-        return True, None
-    return False, violation[1]
-
-
 def nilpotent_from_sequence(seq: OrderSequence, n: int | None = None) -> bool:
     """Decide nilpotency from the sequence alone.
 
@@ -321,7 +318,6 @@ def realize(seq: OrderSequence, n: int) -> list[str]:
     from .catalog import catalog
 
     groups = catalog(n)
-    ok, _ = plausible(seq, n)
-    if not ok:
+    if plausibility_violation(seq, n) is not None:
         return []
     return [name for name, g in groups if order_sequence(g) == seq]

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ordseq
 from ordseq.cli import _format_rho, _main
 
 
@@ -254,10 +257,14 @@ def test_global_flags_follow_the_subcommand():
 
 
 def test_module_entry_point():
+    # the child imports the same ordseq as this process, installed or not
+    here = str(Path(ordseq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ordseq.cli", "os", "C6"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("1:1,2:1,3:2,6:2")

@@ -2,17 +2,10 @@ import json
 
 import pytest
 
-from ordseq.catalog import catalog
-from ordseq.errors import AntisymmetryViolation, ParseError, PreconditionError
+from ordseq.catalog import catalog, supported_orders
+from ordseq.errors import AntisymmetryViolation, PreconditionError
 from ordseq.numth import divisors
-from ordseq.posets import (
-    build_poset,
-    extremes,
-    hasse,
-    hasse_from_json,
-    render,
-    sanitize_identifier,
-)
+from ordseq.posets import Poset, build_poset, extremes, hasse, render, sanitize_identifier
 from ordseq.sequences import dominates, order_sequence
 
 
@@ -52,6 +45,46 @@ def test_build_poset_preconditions():
         build_poset([("a", 1), ("b", 2)], lambda x, y: x < y)
 
 
+# a <= b and b <= c, but not a <= c
+_NON_TRANSITIVE = ((True, True, False), (False, True, True), (False, False, True))
+
+
+def test_build_poset_rejects_non_transitive_relation():
+    items = [("a", 0), ("b", 1), ("c", 2)]
+    with pytest.raises(PreconditionError, match="not transitive"):
+        build_poset(items, lambda x, y: _NON_TRANSITIVE[x][y])
+
+
+def test_hasse_closure_check_rejects_non_transitive_relation():
+    poset = Poset(("a", "b", "c"), (("a",), ("b",), ("c",)), _NON_TRANSITIVE)
+    with pytest.raises(AssertionError, match="close back"):
+        hasse(poset)
+
+
+def _brute_force_covers(poset):
+    k = len(poset.names)
+    rel = poset.relation
+    return [
+        (a, b)
+        for a in range(k)
+        for b in range(k)
+        if a != b and rel[a][b] and not any(rel[a][c] and rel[c][b] for c in range(k) if c not in (a, b))
+    ]
+
+
+@pytest.mark.parametrize("n", supported_orders())
+def test_hasse_matches_brute_force_on_catalog_posets(n):
+    items = [(name, order_sequence(g)) for name, g in catalog(n)]
+    poset = build_poset(items, lambda a, b: dominates(b, a))
+    assert hasse(poset) == _brute_force_covers(poset)
+
+
+@pytest.mark.parametrize("n", [1, 12, 64, 360, 720])
+def test_hasse_matches_brute_force_on_divisor_posets(n):
+    poset = _divisor_poset(n)
+    assert hasse(poset) == _brute_force_covers(poset)
+
+
 def _sixteen_poset():
     items = [(name, order_sequence(g)) for name, g in catalog(16)]
     return build_poset(items, lambda a, b: dominates(b, a))
@@ -82,7 +115,7 @@ def test_render_dot_numeric_names():
 
 def test_render_json_round_trip():
     poset = _sixteen_poset()
-    payload = hasse_from_json(render(poset, "json"))
+    payload = json.loads(render(poset, "json"))
     assert len(payload["items"]) == 9
     names = [item["name"] for item in payload["items"]]
     assert names == sorted(names)
@@ -95,16 +128,6 @@ def test_render_json_round_trip():
 def test_render_unknown_format():
     with pytest.raises(PreconditionError):
         render(_divisor_poset(6), "svg")
-
-
-def test_hasse_from_json_errors():
-    with pytest.raises(ParseError):
-        hasse_from_json("not json")
-    with pytest.raises(ParseError):
-        hasse_from_json(json.dumps({"items": []}))
-    bad = {"items": [{"name": "a", "members": ["a"]}], "covers": [[0, 5]]}
-    with pytest.raises(ParseError):
-        hasse_from_json(json.dumps(bad))
 
 
 def test_sanitize_identifier():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from ordseq.catalog import catalog, supported_orders
 from ordseq.errors import LengthMismatch, ParseError, PreconditionError
 from ordseq.groups import abelian, alternating, cyclic, dicyclic, direct_product, symmetric
+from ordseq.partitions import abelian_order_sequence, partitions_of
 from ordseq.sequences import (
     OrderSequence,
     comparable,
@@ -15,7 +17,6 @@ from ordseq.sequences import (
     order_sequence,
     parse_sequence,
     plausibility_violation,
-    plausible,
     psi,
     psi_k,
     realize,
@@ -91,6 +92,31 @@ def test_dominates():
     assert comparable(c6, s3)
 
 
+def _threshold_dominates(a, b):
+    thresholds = sorted(set(a.orders) | set(b.orders))
+    return all(a.count_up_to(t) <= b.count_up_to(t) for t in thresholds)
+
+
+def _domination_families():
+    for n in supported_orders():
+        yield [order_sequence(g) for _, g in catalog(n)]
+    for p in (2, 3):
+        yield [abelian_order_sequence(p, lam) for lam in partitions_of(8)]
+    # every sequence of length 5 over orders 1-4: group counts rarely differ by one
+    yield [
+        OrderSequence({d: m for d, m in zip((1, 2, 3, 4), mults) if m})
+        for mults in itertools.product(range(6), repeat=4)
+        if sum(mults) == 5
+    ]
+
+
+def test_dominates_matches_threshold_reference():
+    for seqs in _domination_families():
+        for a in seqs:
+            for b in seqs:
+                assert dominates(a, b) == _threshold_dominates(a, b), (a, b)
+
+
 def test_dominates_needs_equal_length():
     with pytest.raises(LengthMismatch):
         dominates(order_sequence(cyclic(4)), order_sequence(cyclic(6)))
@@ -126,6 +152,60 @@ def test_hall_certificate():
     assert tuple(sorted(cert.a_orders)) == (1, 2, 4)
     assert tuple(sorted(cert.b_orders)) == (1, 2)
     assert cert.need > cert.have
+
+
+def _transport_violation(a, b, plan):
+    """Why the rows are not a transport of b onto a, or None."""
+    got_a: dict[int, int] = {}
+    got_b: dict[int, int] = {}
+    for d, e, amount in plan:
+        if amount <= 0 or d % e:
+            return f"bad row {(d, e, amount)}"
+        got_a[d] = got_a.get(d, 0) + amount
+        got_b[e] = got_b.get(e, 0) + amount
+    if got_a != dict(a.pairs) or got_b != dict(b.pairs):
+        return "row sums differ from the multiplicities"
+    return None
+
+
+def _hall_violation(a, b, cert):
+    """Why the certificate does not prove infeasibility, or None."""
+    if not cert.a_orders or any(a.multiplicity(d) == 0 for d in cert.a_orders):
+        return "a-orders are not orders of a"
+    covered = tuple(e for e in b.orders if any(d % e == 0 for d in cert.a_orders))
+    if tuple(cert.b_orders) != covered:
+        return "b-orders are not the divisors present"
+    need = sum(a.multiplicity(d) for d in cert.a_orders)
+    have = sum(b.multiplicity(e) for e in covered)
+    if (cert.need, cert.have) != (need, have) or need <= have:
+        return f"need/have {cert.need}/{cert.have}, recomputed {need}/{have}"
+    return None
+
+
+def _wide_nilpotent_sequences():
+    """Nilpotent groups of order 2^3 * 3^2 * 5 * 7 * 11, from closed forms."""
+    sylow2 = {order_sequence(g) for _, g in catalog(8)}
+    sylow3 = [abelian_order_sequence(3, lam) for lam in partitions_of(2)]
+    out = [seq_join(s2, s3) for s2 in sylow2 for s3 in sylow3]
+    for q in (5, 7, 11):
+        out = [seq_join(s, abelian_order_sequence(q, [1])) for s in out]
+    return out
+
+
+def test_strong_domination_evidence_checks_out():
+    families = [[order_sequence(g) for _, g in catalog(n)] for n in (12, 16, 60)]
+    families.append(_wide_nilpotent_sequences())
+    verdicts = set()
+    for seqs in families:
+        for a in seqs:
+            for b in seqs:
+                if not dominates(a, b):
+                    continue
+                ok, evidence = strong_domination(a, b)
+                verdicts.add(ok)
+                reason = _transport_violation(a, b, evidence) if ok else _hall_violation(a, b, evidence)
+                assert reason is None, (a, b, reason)
+    assert verdicts == {True, False}
 
 
 def test_strong_implies_domination():
@@ -208,7 +288,6 @@ def test_plausibility_rule_order(text, n, tag):
 def test_plausible_sequences_pass():
     s = order_sequence(cyclic(6))
     assert plausibility_violation(s, 6) is None
-    assert plausible(s, 6) == (True, None)
     # the default length is the sequence total
     assert plausibility_violation(s) is None
 
