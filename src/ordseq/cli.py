@@ -39,8 +39,17 @@ from .suites import SUITES, run_all, run_suite
 _RHO_PRINT_LIMIT = 120
 
 
+def _rho_digits(value: int) -> str:
+    """Exact digits of rho, which runs to tens of thousands of digits for a
+    20160-element group; Decimal converts without the int-to-str limit.
+    Imported here, as loading decimal adds memory to every process."""
+    from decimal import Decimal
+
+    return str(Decimal(value))
+
+
 def _format_rho(value: int) -> str:
-    digits = str(value)
+    digits = _rho_digits(value)
     if len(digits) <= _RHO_PRINT_LIMIT:
         return digits
     return f"{digits[:12]}e{len(digits) - 12}"
@@ -62,7 +71,7 @@ def _cmd_os(args) -> int:
                 "text": str(s),
                 "psi": psi(s),
                 "psi2": psi_k(s, 2),
-                "rho": str(rho(s)),
+                "rho": _rho_digits(rho(s)),
                 "exponent": g.exponent(),
                 "nilpotent": nilpotent,
             }
@@ -303,9 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _main(argv: list[str] | None = None) -> int:
-    # rho of a 20160-element group runs to tens of thousands of digits
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,17 +1,19 @@
 """Finite fields of prime-power order and the groups built on them.
 
-Field elements are integer codes 0..q-1 whose base-p digits are the
+Field elements are bare integer codes 0..q-1 whose base-p digits are the
 coefficients of a polynomial, constant digit first.  The modulus is the
-first monic irreducible polynomial in code order.
+first monic irreducible polynomial in code order.  The groups are the
+affine maps x -> a*x + b with a in a cyclic subgroup of the units, and
+PSL(3,4) as a permutation group on the 21 points of its projective plane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import NoSuchOrder, PreconditionError, SizeLimitError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, PermutationGroup
 from .numth import divisors, factorize, is_prime
 
 FIELD_SIZE_LIMIT = 4096
@@ -117,9 +119,6 @@ class FiniteField:
             code = code * p + -x % p
         return code
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a][b]
@@ -150,42 +149,6 @@ class FiniteField:
         raise AssertionError("the order divides the size of the unit group")
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Wrapper giving field codes ordinary operator syntax."""
-
-    field: FiniteField
-    code: int
-
-    def _lift(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise PreconditionError("elements live in different fields")
-            return other.code
-        return other % self.field.p
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.code, self._lift(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.code, self._lift(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.code, self._lift(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.mul(self.code, self.field.inv(self._lift(other))))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, self.field.pow(self.code, k))
-
-    def order(self) -> int:
-        return self.field.element_order(self.code)
-
-
 @lru_cache(maxsize=None)
 def make_field(q: int) -> FiniteField:
     fact = factorize(q)
@@ -195,13 +158,13 @@ def make_field(q: int) -> FiniteField:
     return FiniteField(p, d)
 
 
-def element_of_order(field: FiniteField, r: int) -> FieldElement:
+def element_of_order(field: FiniteField, r: int) -> int:
     """The lowest-coded field element of multiplicative order r."""
     if r < 1 or (field.order - 1) % r:
         raise NoSuchOrder(f"no element of order {r} in a unit group of size {field.order - 1}")
     for a in range(1, field.order):
         if field.element_order(a) == r:
-            return FieldElement(field, a)
+            return a
     raise AssertionError("a cyclic unit group has elements of every dividing order")
 
 
@@ -214,7 +177,7 @@ class AffineGroup(FiniteGroup):
     """
 
     def __init__(self, field: FiniteField, mult_order: int, name: str | None = None):
-        w = element_of_order(field, mult_order).code
+        w = element_of_order(field, mult_order)
         q = field.order
         super().__init__(mult_order * q, name or f"Aff({q},{mult_order})")
         self.field = field
@@ -243,87 +206,35 @@ def affine_frobenius_group(p: int, d: int, q: int) -> AffineGroup:
     return AffineGroup(make_field(p**d), q)
 
 
-def _matmul(f: FiniteField, a, b) -> tuple[int, ...]:
-    out = []
-    for i in range(3):
-        for j in range(3):
-            s = 0
-            for k in range(3):
-                s = f.add(s, f.mul(a[3 * i + k], b[3 * k + j]))
-            out.append(s)
-    return tuple(out)
-
-
-def _adjugate(f: FiniteField, m) -> tuple[int, ...]:
-    # transpose of the cofactor matrix; in characteristic 2 no signs arise
-    def minor(r1, r2, c1, c2):
-        return f.sub(f.mul(m[3 * r1 + c1], m[3 * r2 + c2]), f.mul(m[3 * r1 + c2], m[3 * r2 + c1]))
-
-    rows = (1, 2), (0, 2), (0, 1)
-    out = [0] * 9
-    for i in range(3):
-        for j in range(3):
-            r1, r2 = rows[j]
-            c1, c2 = rows[i]
-            out[3 * i + j] = minor(r1, r2, c1, c2)
-    return tuple(out)
-
-
-class PSL34Group(FiniteGroup):
-    """Projective special linear group of 3x3 matrices over the 4-element
-    field, with conjugates of a matrix by scalars collapsed to one coset.
-
-    Elements are the lexicographically least members of their scalar
-    cosets, found by closing six elementary transvections.
-    """
-
-    def __init__(self):
-        f = make_field(4)
-        self.field = f
-        x = element_of_order(f, 3).code
-        self._scalars = (x, f.mul(x, x))
-
-        def canonical(m):
-            best = m
-            for s in self._scalars:
-                c = tuple(f.mul(s, e) for e in m)
-                if c < best:
-                    best = c
-            return best
-
-        self._canonical = canonical
-        ident = (1, 0, 0, 0, 1, 0, 0, 0, 1)
-        gens = []
-        for pos in (1, 5, 6):
-            for c in (1, x):
-                m = list(ident)
-                m[pos] = c
-                gens.append(tuple(m))
-        elems = [canonical(ident)]
-        index = {elems[0]: 0}
-        head = 0
-        while head < len(elems):
-            cur = elems[head]
-            head += 1
-            for g in gens:
-                y = canonical(_matmul(f, cur, g))
-                if y not in index:
-                    index[y] = len(elems)
-                    elems.append(y)
-        if len(elems) != 20160:
-            raise PreconditionError(f"transvection closure found {len(elems)} cosets, not 20160")
-        self._elems = elems
-        self._index = index
-        super().__init__(len(elems), "PSL(3,4)")
-        self._finalize()
-
-    def mul(self, a: int, b: int) -> int:
-        return self._index[self._canonical(_matmul(self.field, self._elems[a], self._elems[b]))]
-
-    def inv(self, a: int) -> int:
-        return self._index[self._canonical(_adjugate(self.field, self._elems[a]))]
-
-
 @lru_cache(maxsize=None)
-def psl_3_4() -> PSL34Group:
-    return PSL34Group()
+def psl_3_4() -> PermutationGroup:
+    """PSL(3,4) as it permutes the 21 points of the projective plane over
+    the 4-element field.
+
+    A point is a nonzero vector of F4**3 whose first nonzero coordinate
+    is 1.  The six elementary transvections generate SL(3,4), which acts
+    on the points with its scalars as kernel, so the image is PSL(3,4).
+    """
+    f = make_field(4)
+    x = element_of_order(f, 3)
+
+    def point(v) -> tuple[int, ...]:
+        lead = f.inv(next(c for c in v if c))
+        return tuple(f.mul(lead, c) for c in v)
+
+    points = sorted({point(v) for v in product(range(4), repeat=3) if any(v)})
+    index = {v: i for i, v in enumerate(points)}
+    gens = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        for c in (1, x):
+            # the transvection adding c times coordinate j to coordinate i
+            images = []
+            for v in points:
+                w = list(v)
+                w[i] = f.add(w[i], f.mul(c, v[j]))
+                images.append(index[point(w)])
+            gens.append(tuple(images))
+    g = PermutationGroup(len(points), gens, "PSL(3,4)")
+    if g.size != 20160:
+        raise PreconditionError(f"transvection closure found {g.size} elements, not 20160")
+    return g

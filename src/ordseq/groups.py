@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 
@@ -266,7 +265,7 @@ class FiniteGroup:
                 return tuple(sorted(sub))
             sub = set(self.closure(sub | extra))
 
-    def sylow_subgroup(self, p: int, seed: int = 0) -> tuple[int, ...]:
+    def sylow_subgroup(self, p: int) -> tuple[int, ...]:
         """A Sylow p-subgroup, grown greedily from random p-elements.
 
         Any p-subgroup sits inside a Sylow subgroup and its normalizer there
@@ -287,7 +286,7 @@ class FiniteGroup:
             return m == 1
 
         pool = [g for g in range(1, self.size) if p_power(orders[g])]
-        rng = random.Random(seed * 1000003 + self.size * 31 + p)
+        rng = random.Random(self.size * 31 + p)
         cur = {0}
         for _ in range(10000):
             if len(cur) == target:
@@ -300,11 +299,11 @@ class FiniteGroup:
                 cur = set(grown)
         raise PreconditionError("Sylow subgroup search did not converge")
 
-    def is_nilpotent(self, seed: int = 0) -> bool:
+    def is_nilpotent(self) -> bool:
         """Whether every Sylow subgroup is normal, checked by conjugation."""
         from .numth import prime_divisors
 
-        return all(self.is_normal(self.sylow_subgroup(p, seed)) for p in prime_divisors(self.size))
+        return all(self.is_normal(self.sylow_subgroup(p)) for p in prime_divisors(self.size))
 
     def _class_size_by_element(self) -> list[int]:
         sizes = [0] * self.size
@@ -384,42 +383,6 @@ class FiniteGroup:
         return dfs(0, [])
 
 
-@dataclass(frozen=True)
-class GroupAction:
-    """Action of `acting` on `target` by automorphisms.
-
-    perms[h][x] is the image of target index x under acting element h.
-    """
-
-    acting: FiniteGroup
-    target: FiniteGroup
-    perms: tuple[tuple[int, ...], ...]
-
-    def validate(self, seed: int = 0) -> None:
-        n = self.target.size
-        if len(self.perms) != self.acting.size:
-            raise PreconditionError("need exactly one permutation per acting element")
-        for h, perm in enumerate(self.perms):
-            if len(perm) != n or sorted(perm) != list(range(n)):
-                raise ActionNotAutomorphism(f"acting element {h} does not permute the target")
-        if n <= _EXHAUSTIVE_PAIRS:
-            pairs = [(a, b) for a in range(n) for b in range(n)]
-        else:
-            rng = random.Random(seed)
-            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(_SPOT_SAMPLES)]
-        mul = self.target.mul
-        for h, perm in enumerate(self.perms):
-            for a, b in pairs:
-                if perm[mul(a, b)] != mul(perm[a], perm[b]):
-                    raise ActionNotAutomorphism(f"acting element {h} breaks the product at ({a}, {b})")
-        for h1 in range(self.acting.size):
-            for h2 in range(self.acting.size):
-                combined = self.perms[self.acting.mul(h1, h2)]
-                composed = tuple(self.perms[h1][x] for x in self.perms[h2])
-                if combined != composed:
-                    raise ActionNotHomomorphism(f"acting pair ({h1}, {h2}) is not multiplicative")
-
-
 class CyclicGroup(FiniteGroup):
     """Integers modulo n under addition."""
 
@@ -494,31 +457,51 @@ class DirectProductGroup(FiniteGroup):
 
 
 class SemidirectProductGroup(FiniteGroup):
-    """Split extension of the action's target by its acting group.
+    """Split extension of target by a cyclic group C_k whose generator acts
+    as the automorphism gen_perm.
 
-    Elements are pairs (n, h) with index n * |H| + h; the right factor
-    twists the left one through the action.
+    Elements are pairs (n, h) with index n * k + h; h acts on the target
+    through the permutation gen_perm**h.
     """
 
-    def __init__(self, action: GroupAction, name: str | None = None):
-        action.validate()
-        target, acting = action.target, action.acting
-        super().__init__(target.size * acting.size, name or f"{target.name}:{acting.name}")
-        self.action = action
+    def __init__(self, target: FiniteGroup, k: int, gen_perm, name: str | None = None):
+        super().__init__(target.size * k, name or f"{target.name}:C{k}")
+        n = target.size
+        gen_perm = tuple(gen_perm)
+        if sorted(gen_perm) != list(range(n)):
+            raise ActionNotAutomorphism("the generator does not permute the target")
+        perms = [tuple(range(n))]
+        for _ in range(k - 1):
+            perms.append(tuple(gen_perm[x] for x in perms[-1]))
+        # a list, not an iterator: every power is checked on the same pairs
+        if n <= _EXHAUSTIVE_PAIRS:
+            pairs = [(a, b) for a in range(n) for b in range(n)]
+        else:
+            draws = iter(_seeded_draws(0, n, 2 * _SPOT_SAMPLES))
+            pairs = list(zip(draws, draws))
+        mul = target.mul
+        for h, perm in enumerate(perms):
+            for a, b in pairs:
+                if perm[mul(a, b)] != mul(perm[a], perm[b]):
+                    raise ActionNotAutomorphism(f"acting element {h} breaks the product at ({a}, {b})")
+        if tuple(gen_perm[x] for x in perms[-1]) != perms[0]:
+            raise ActionNotHomomorphism(f"the generator's automorphism does not have order dividing {k}")
+        self.target = target
+        self.k = k
+        self.perms = tuple(perms)
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:
-        h = self.action.acting.size
-        n1, h1 = divmod(a, h)
-        n2, h2 = divmod(b, h)
-        n = self.action.target.mul(n1, self.action.perms[h1][n2])
-        return n * h + self.action.acting.mul(h1, h2)
+        k = self.k
+        n1, h1 = divmod(a, k)
+        n2, h2 = divmod(b, k)
+        return self.target.mul(n1, self.perms[h1][n2]) * k + (h1 + h2) % k
 
     def inv(self, a: int) -> int:
-        h = self.action.acting.size
-        n1, h1 = divmod(a, h)
-        hi = self.action.acting.inv(h1)
-        return self.action.perms[hi][self.action.target.inv(n1)] * h + hi
+        k = self.k
+        n1, h1 = divmod(a, k)
+        hi = -h1 % k
+        return self.perms[hi][self.target.inv(n1)] * k + hi
 
 
 class DicyclicGroup(FiniteGroup):
@@ -653,31 +636,6 @@ class TableGroup(FiniteGroup):
         return self._inv[a]
 
 
-def compose_perm(p, q) -> tuple[int, ...]:
-    """Composition applying q first, then p."""
-    return tuple(p[x] for x in q)
-
-
-def cyclic_action(target: FiniteGroup, acting: FiniteGroup, gen_perm) -> GroupAction:
-    """Action of a cyclic group whose chosen generator acts as gen_perm."""
-    perms = [tuple(range(target.size))]
-    gen_perm = tuple(gen_perm)
-    for _ in range(acting.size - 1):
-        perms.append(compose_perm(gen_perm, perms[-1]))
-    return GroupAction(acting, target, tuple(perms))
-
-
-def power_action(target: FiniteGroup, acting: FiniteGroup, k: int) -> GroupAction:
-    """Cyclic action on a cyclic target whose generator multiplies by k."""
-    n = target.size
-    return cyclic_action(target, acting, tuple(k * x % n for x in range(n)))
-
-
-def inversion_action(target: FiniteGroup, acting: FiniteGroup) -> GroupAction:
-    """Cyclic action whose generator inverts the target; needs an abelian target."""
-    return cyclic_action(target, acting, tuple(target.inv(x) for x in range(target.size)))
-
-
 def cyclic(n: int) -> CyclicGroup:
     return CyclicGroup(n)
 
@@ -690,8 +648,13 @@ def direct_product(left: FiniteGroup, right: FiniteGroup, name: str | None = Non
     return DirectProductGroup(left, right, name)
 
 
-def semidirect_product(action: GroupAction, name: str | None = None) -> SemidirectProductGroup:
-    return SemidirectProductGroup(action, name)
+def power_map(n: int, r: int) -> tuple[int, ...]:
+    """The map x -> r*x on the cyclic group of order n; r = -1 inverts."""
+    return tuple(r * x % n for x in range(n))
+
+
+def semidirect_product(target: FiniteGroup, k: int, gen_perm, name: str | None = None) -> SemidirectProductGroup:
+    return SemidirectProductGroup(target, k, gen_perm, name)
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -699,8 +662,7 @@ def dihedral(order: int) -> FiniteGroup:
     if order % 2 or order < 2:
         raise PreconditionError("dihedral groups have even order")
     m = order // 2
-    act = inversion_action(CyclicGroup(m), CyclicGroup(2))
-    return SemidirectProductGroup(act, name=f"D{order}")
+    return SemidirectProductGroup(CyclicGroup(m), 2, power_map(m, -1), name=f"D{order}")
 
 
 def dicyclic(order: int) -> DicyclicGroup:

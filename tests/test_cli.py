@@ -48,6 +48,28 @@ def test_rho_formatting():
     assert _format_rho(10**120) == "100000000000e109"
 
 
+@pytest.fixture
+def default_int_str_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.11")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def test_rho_formatting_past_the_int_str_limit(default_int_str_limit):
+    assert _format_rho(10**5000) == "100000000000e4989"
+
+
+def test_os_json_leaves_int_str_limit_alone(capsys, default_int_str_limit):
+    # rho of A8 has 15,849 digits, past the default limit of 4,300
+    code, out, _ = run_cli(capsys, "os", "A8", "--json")
+    assert sys.get_int_max_str_digits() == default_int_str_limit
+    assert code == 0
+    assert len(json.loads(out)["rho"]) == 15849
+
+
 def test_compare_strong(capsys):
     code, out, _ = run_cli(capsys, "compare", "C12", "Dic12")
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ from ordseq.errors import (
     NotSubgroup,
     PreconditionError,
 )
+from ordseq.catalog import group_by_name
 from ordseq.groups import (
     _seeded_draws,
     abelian,
@@ -19,9 +21,8 @@ from ordseq.groups import (
     dihedral,
     direct_product,
     heisenberg,
-    inversion_action,
     permutation_group,
-    power_action,
+    power_map,
     semidirect_product,
     symmetric,
 )
@@ -160,19 +161,58 @@ def test_direct_product():
 
 
 def test_semidirect_inversion_gives_dihedral():
-    act = inversion_action(cyclic(5), cyclic(2))
-    g = semidirect_product(act)
+    g = semidirect_product(cyclic(5), 2, power_map(5, -1))
     assert g.size == 10
     assert order_sequence(g) == order_sequence(dihedral(10))
 
 
 def test_action_validation():
-    # x -> x**2 is not injective mod 4
+    # x -> 2x is not injective mod 4
     with pytest.raises(ActionNotAutomorphism):
-        power_action(cyclic(4), cyclic(2), 2).validate()
-    # squaring mod 5 is an automorphism of order 4, too big for C2
+        semidirect_product(cyclic(4), 2, power_map(4, 2))
+    # swapping 1 and 2 permutes C5 but breaks its sums
+    with pytest.raises(ActionNotAutomorphism):
+        semidirect_product(cyclic(5), 2, (0, 2, 1, 3, 4))
+    # doubling mod 5 is an automorphism of order 4, too big for C2
     with pytest.raises(ActionNotHomomorphism):
-        power_action(cyclic(5), cyclic(2), 2).validate()
+        semidirect_product(cyclic(5), 2, power_map(5, 2))
+    # the generator of C1 can only act trivially
+    with pytest.raises(ActionNotHomomorphism):
+        semidirect_product(cyclic(5), 1, power_map(5, -1))
+
+
+def _table_digest(g):
+    text = ",".join(str(g.mul(a, b)) for a in range(g.size) for b in range(g.size))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: dihedral(8), "09d1b9fed790fb97"),
+        (lambda: dihedral(10), "7f3b3a6c58996076"),
+        (lambda: group_by_name(20, "F20"), "d845c1773aa2c570"),
+        (lambda: group_by_name(21, "F21"), "61e1d00132d73025"),
+        (lambda: group_by_name(16, "M16"), "9e41a2afad241389"),
+        (lambda: group_by_name(16, "SD16"), "3c8e600bd780e23e"),
+        (lambda: group_by_name(16, "C4:C4"), "eb14f1638176f5ad"),
+        (lambda: group_by_name(16, "(C2xC2):C4"), "e465d445d84f7de5"),
+        (lambda: group_by_name(60, "C15:C4"), "3e20ec69537362e7"),
+    ],
+)
+def test_semidirect_tables_are_pinned(build, digest):
+    # element numbering feeds every graph output, so the tables must not move
+    assert _table_digest(build()) == digest
+
+
+def test_semidirect_samples_pairs_on_large_targets():
+    # past 256 elements only a seeded sample of pairs is checked, for every power
+    swap = list(range(300))
+    swap[1], swap[2] = 2, 1
+    with pytest.raises(ActionNotAutomorphism):
+        semidirect_product(cyclic(300), 2, swap)
+    g = semidirect_product(cyclic(257), 2, power_map(257, -1))
+    assert str(order_sequence(g)) == "1:1,2:257,257:256"
 
 
 def test_isomorphism_checks():
