@@ -137,8 +137,7 @@ def _cmd_compare(args) -> int:
 def _cmd_poset(args) -> int:
     items = [(name, order_sequence(g)) for name, g in catalog(args.order)]
     poset = build_poset(items, lambda a, b: dominates(b, a))
-    fmt = "dot" if args.dot or not args.json else "json"
-    print(render(poset, fmt))
+    print(render(poset, "json" if args.json else "dot"))
     return 0
 
 
@@ -152,10 +151,10 @@ def _cmd_verify(args) -> int:
             print(f"error: unknown suite {args.suite!r} (choose from {known})", file=sys.stderr)
             return 2
         reports = run_suite(args.suite, args.order)
-    elif args.all or args.stretch:
-        reports = run_all(stretch=args.stretch)
+    elif args.all:
+        reports = run_all()
     else:
-        print("error: choose --all, --stretch or --suite NAME", file=sys.stderr)
+        print("error: choose --all or --suite NAME", file=sys.stderr)
         return 2
     ok = all(r.passed for r in reports)
     if args.json:
@@ -283,12 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poset", parents=[common], help="domination poset of a catalog order")
     p.add_argument("order", type=int)
-    p.add_argument("--dot", action="store_true", help="force DOT output")
     p.set_defaults(func=_cmd_poset)
 
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
-    p.add_argument("--all", action="store_true", help="run every suite except gated ones")
-    p.add_argument("--stretch", action="store_true", help="include the gated simple-group suite")
+    p.add_argument("--all", action="store_true", help="run every suite except simple-pair (--suite runs it)")
     p.add_argument("--suite", help="run one named suite")
     p.add_argument("--order", type=int, help="restrict a per-order suite to one order")
     p.set_defaults(func=_cmd_verify)

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
-from .numth import is_prime
+from .numth import is_power_of, is_prime
 
 MAX_GROUP_SIZE = 25000
 ISO_SIZE_LIMIT = 2500
@@ -178,9 +178,6 @@ class FiniteGroup:
     def conjugate(self, g: int, a: int) -> int:
         return self.mul(self.mul(g, a), self.inv(g))
 
-    def commutator(self, a: int, b: int) -> int:
-        return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
-
     def is_normal(self, elems) -> bool:
         """Whether the subgroup is stable under conjugation.
 
@@ -226,10 +223,6 @@ class FiniteGroup:
             self._gens = tuple(gens)
         return self._gens
 
-    def center(self) -> tuple[int, ...]:
-        gens = self.generating_sequence()
-        return tuple(a for a in range(self.size) if all(self.mul(a, g) == self.mul(g, a) for g in gens))
-
     def is_abelian(self) -> bool:
         gens = self.generating_sequence()
         return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
@@ -255,16 +248,6 @@ class FiniteGroup:
             classes.append(tuple(sorted(orbit)))
         return classes
 
-    def derived_subgroup(self) -> tuple[int, ...]:
-        """Commutator subgroup, as the normal closure of generator commutators."""
-        gens = self.generating_sequence()
-        sub = set(self.closure({self.commutator(a, b) for a in gens for b in gens}))
-        while True:
-            extra = {self.conjugate(g, x) for g in gens for x in sub} - sub
-            if not extra:
-                return tuple(sorted(sub))
-            sub = set(self.closure(sub | extra))
-
     def sylow_subgroup(self, p: int) -> tuple[int, ...]:
         """A Sylow p-subgroup, grown greedily from random p-elements.
 
@@ -279,13 +262,7 @@ class FiniteGroup:
         if target == 1:
             return (0,)
         orders = self.element_orders()
-
-        def p_power(m: int) -> bool:
-            while m % p == 0:
-                m //= p
-            return m == 1
-
-        pool = [g for g in range(1, self.size) if p_power(orders[g])]
+        pool = [g for g in range(1, self.size) if is_power_of(orders[g], p)]
         rng = random.Random(self.size * 31 + p)
         cur = {0}
         for _ in range(10000):
@@ -295,7 +272,7 @@ class FiniteGroup:
             if x in cur:
                 continue
             grown = self.closure(cur | {x})
-            if len(grown) <= target and p_power(len(grown)):
+            if len(grown) <= target and is_power_of(len(grown), p):
                 cur = set(grown)
         raise PreconditionError("Sylow subgroup search did not converge")
 
@@ -313,7 +290,7 @@ class FiniteGroup:
         return sizes
 
     def is_isomorphic(self, other: "FiniteGroup") -> bool:
-        """Decide isomorphism via cheap invariants, then a generator-image search."""
+        """Decide isomorphism by element orders, then a generator-image search."""
         if self.size != other.size:
             return False
         if max(self.size, other.size) > ISO_SIZE_LIMIT:
@@ -326,15 +303,6 @@ class FiniteGroup:
         if mine:
             # abelian groups are determined by their element orders
             return True
-        if len(self.center()) != len(other.center()):
-            return False
-        if sorted(map(len, self.conjugacy_classes())) != sorted(map(len, other.conjugacy_classes())):
-            return False
-        da, db = self.derived_subgroup(), other.derived_subgroup()
-        if len(da) != len(db):
-            return False
-        if Counter(self.quotient(da).element_orders()) != Counter(other.quotient(db).element_orders()):
-            return False
         return self._isomorphism_search(other)
 
     def _isomorphism_search(self, other: "FiniteGroup") -> bool:

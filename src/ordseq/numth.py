@@ -6,7 +6,6 @@ desk scale so trial division is plenty.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 
@@ -47,6 +46,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def is_power_of(m: int, p: int) -> bool:
+    """Return True when the positive integer m is p**e for some e >= 0."""
+    while m % p == 0:
+        m //= p
+    return m == 1
+
+
 def prime_divisors(n: int) -> tuple[int, ...]:
     """Return the distinct primes dividing n, ascending."""
     return tuple(p for p, _ in factorize(n))
@@ -66,14 +72,3 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n):
         out = out // p * (p - 1)
     return out
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Return the least k >= 1 with a**k == 1 mod n; a must be a unit mod n."""
-    a %= n
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit modulo {n}")
-    for k in divisors(euler_phi(n)):
-        if pow(a, k, n) == 1:
-            return k
-    raise AssertionError("order must divide phi(n)")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
 
 from .errors import (
     NotAbelianPGroupSequence,
@@ -46,13 +47,7 @@ def majorizes(a, b) -> bool:
     a, b = partition(a), partition(b)
     if sum(a) != sum(b):
         raise SizeMismatch(f"partitions have sizes {sum(a)} and {sum(b)}")
-    ca = cb = 0
-    for i in range(max(len(a), len(b))):
-        ca += a[i] if i < len(a) else 0
-        cb += b[i] if i < len(b) else 0
-        if ca < cb:
-            return False
-    return True
+    return all(x >= y for x, y in zip_longest(accumulate(a), accumulate(b), fillvalue=sum(a)))
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
@@ -138,6 +133,10 @@ def box_move_chain(b, c) -> list[tuple[int, ...]]:
 
     Each step moves one box from an earlier row to a later row, stays a
     valid partition, and still majorizes c.  Returns [] when b == c.
+
+    The box leaves the last row of the run of equal parts holding the
+    first row where the current partition exceeds c, for the farthest
+    later row that keeps a partition majorizing c.
     """
     b, c = partition(b), partition(c)
     if sum(b) != sum(c):
@@ -149,25 +148,26 @@ def box_move_chain(b, c) -> list[tuple[int, ...]]:
     chain = [b]
     cur = b
     while cur != c:
-        padded_c = c + (0,) * max(0, len(cur) - len(c))
-        i = next(k for k in range(len(cur)) if cur[k] != (padded_c[k] if k < len(padded_c) else 0))
-        r = max(k for k in range(len(cur)) if cur[k] == cur[i])
-        moved = None
-        for s in range(len(cur), r, -1):
-            cand = list(cur) + [0] * (s + 1 - len(cur))
-            cand[r] -= 1
-            cand[s] += 1
-            if any(cand[k] < cand[k + 1] for k in range(len(cand) - 1)):
-                continue
-            while cand and cand[-1] == 0:
-                cand.pop()
-            if majorizes(tuple(cand), c):
-                moved = tuple(cand)
+        row = cur + (0,)
+        # slack[k]: how far row's k-th prefix sum exceeds c's
+        slack = list(accumulate(x - y for x, y in zip(row, c + (0,) * len(row))))
+        i = next(k for k, v in enumerate(slack) if v > 0)
+        r = i
+        while row[r + 1] == row[i]:
+            r += 1
+        t = r
+        while t + 1 < len(row) and slack[t + 1] > 0:
+            t += 1
+        for s in range(min(t + 1, len(row) - 1), r, -1):
+            if row[s - 1] > row[s] + (s == r + 1):
                 break
-        if moved is None:
+        else:
             raise AssertionError("a legal box move always exists strictly above the target")
-        chain.append(moved)
-        cur = moved
+        moved = list(row)
+        moved[r] -= 1
+        moved[s] += 1
+        cur = tuple(x for x in moved if x)
+        chain.append(cur)
     return chain
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, ParseError, PreconditionError
-from .numth import euler_phi, prime_divisors
+from .numth import euler_phi, factorize, is_power_of, prime_divisors
 
 
 class OrderSequence:
@@ -292,25 +292,14 @@ def nilpotent_from_sequence(seq: OrderSequence, n: int | None = None) -> bool:
         n = seq.total
     if seq.total != n:
         raise LengthMismatch(f"sequence length {seq.total} does not match order {n}")
-    for p in prime_divisors(n):
-        sylow = 1
-        m = n
-        while m % p == 0:
-            sylow *= p
-            m //= p
+    for p, e in factorize(n):
         count = 1
         for d, mult in seq.pairs:
-            if d > 1 and _is_power_of(d, p):
+            if d > 1 and is_power_of(d, p):
                 count += mult
-        if count != sylow:
+        if count != p**e:
             return False
     return True
-
-
-def _is_power_of(d: int, p: int) -> bool:
-    while d % p == 0:
-        d //= p
-    return d == 1
 
 
 def realize(seq: OrderSequence, n: int) -> list[str]:

@@ -84,11 +84,6 @@ class SuiteReport:
         return line
 
 
-def _finish(rep: SuiteReport, t0: float) -> SuiteReport:
-    rep.seconds = time.perf_counter() - t0
-    return rep
-
-
 def nonnilpotent_order_witness(n: int):
     """Least (p, d, q) in lexicographic order with q | p^d - 1 and p^d*q | n.
 
@@ -124,7 +119,6 @@ def minimal_nonnilpotent_group(n: int) -> FiniteGroup:
 
 def suite_unique_max(n: int) -> SuiteReport:
     """The cyclic sequence strongly dominates every other, strictly, with strict psi and rho."""
-    t0 = time.perf_counter()
     rep = SuiteReport(f"unique-max[{n}]")
     top = order_sequence(cyclic(n))
     top_names = []
@@ -140,12 +134,11 @@ def suite_unique_max(n: int) -> SuiteReport:
         rep.require(psi(s) < psi(top), f"psi({name}) is not below psi(C{n})")
         rep.require(rho(s) < rho(top), f"rho({name}) is not below rho(C{n})")
     rep.require(top_names == [f"C{n}"], f"groups sharing the cyclic sequence: {top_names}")
-    return _finish(rep, t0)
+    return rep
 
 
 def suite_gap_bounds(n: int) -> SuiteReport:
     """Exact psi and rho gaps below the cyclic group, with the known equality cases."""
-    t0 = time.perf_counter()
     if n <= 1:
         raise PreconditionError("gap bounds need an order greater than 1")
     rep = SuiteReport(f"gap-bounds[{n}]")
@@ -180,7 +173,7 @@ def suite_gap_bounds(n: int) -> SuiteReport:
         f"equality cases {sorted(equality)} differ from expected {sorted(expected)}",
     )
     rep.note(f"equality at: {', '.join(sorted(equality)) or 'none'}")
-    return _finish(rep, t0)
+    return rep
 
 
 def _default_extension_triples():
@@ -194,7 +187,6 @@ def _default_extension_triples():
 
 def suite_extension(triples=None) -> SuiteReport:
     """seq_product of a coprime abelian normal piece and the quotient strongly dominates the extension."""
-    t0 = time.perf_counter()
     rep = SuiteReport("extension")
     for g, h, k in triples if triples is not None else _default_extension_triples():
         rep.cases += 1
@@ -211,12 +203,11 @@ def suite_extension(triples=None) -> SuiteReport:
         prod = seq_product(order_sequence(g), order_sequence(h))
         ok, _ = strong_domination(prod, order_sequence(k))
         rep.require(ok, f"{label}: product sequence does not strongly dominate os({k.name})")
-    return _finish(rep, t0)
+    return rep
 
 
 def suite_nilpotent_minimality(n: int) -> SuiteReport:
     """Minimal nilpotent groups have prime-exponent Sylows; the witness group sits properly below them."""
-    t0 = time.perf_counter()
     rep = SuiteReport(f"nilpotent-minimality[{n}]")
     groups = nilpotent_groups_of_order(n)
     by_name = {g.name: g for g in groups}
@@ -238,7 +229,7 @@ def suite_nilpotent_minimality(n: int) -> SuiteReport:
     rep.note(f"minimal nilpotent classes: {', '.join(minimal)}")
     if nonnilpotent_order_witness(n) is None:
         rep.note("no non-nilpotent group at this order")
-        return _finish(rep, t0)
+        return rep
     h = minimal_nonnilpotent_group(n)
     hs = order_sequence(h)
     rep.cases += 1
@@ -253,7 +244,7 @@ def suite_nilpotent_minimality(n: int) -> SuiteReport:
     rep.cases += 1
     ok, _ = strong_domination(order_sequence(elementary_product(n)), hs)
     rep.require(ok, f"the prime-exponent abelian sequence does not strongly dominate os({h.name})")
-    return _finish(rep, t0)
+    return rep
 
 
 def _default_bound_cases():
@@ -268,7 +259,6 @@ def _default_bound_cases():
 
 def suite_improved_nilpotent_bound(cases=None) -> SuiteReport:
     """rho of a cyclic-times-noncyclic-p-groups product meets the sharpened cyclic bound exactly."""
-    t0 = time.perf_counter()
     rep = SuiteReport("improved-bound")
     for m, p_groups in cases if cases is not None else _default_bound_cases():
         rep.cases += 1
@@ -298,12 +288,11 @@ def suite_improved_nilpotent_bound(cases=None) -> SuiteReport:
         if elementary:
             rep.require(lhs == rhs, f"{label}: equality required for squares of primes")
         rep.note(f"{label}: {'equality' if lhs == rhs else 'strict'}")
-    return _finish(rep, t0)
+    return rep
 
 
 def suite_partition(n: int, p: int) -> SuiteReport:
     """Majorization, conjugate reversal and sequence domination agree on abelian p-groups."""
-    t0 = time.perf_counter()
     if n > 10:
         raise PreconditionError("partition suite is capped at n = 10")
     if not is_prime(p):
@@ -346,12 +335,11 @@ def suite_partition(n: int, p: int) -> SuiteReport:
         )
         rep.require(ok, "converse counterexample (4,1,1) vs (3,3) did not reproduce")
         rep.note("counterexample: counts 20 vs 16 with incomparable sequences")
-    return _finish(rep, t0)
+    return rep
 
 
 def suite_order16() -> SuiteReport:
     """Order-16 landscape: group, sequence and power-graph class counts."""
-    t0 = time.perf_counter()
     rep = SuiteReport("order16")
     pairs = catalog(16)
     rep.cases += 1
@@ -379,12 +367,11 @@ def suite_order16() -> SuiteReport:
     )
     shared = sorted(sorted(names) for names in forms.values() if len(names) > 1)
     rep.note(f"power-graph coincidences: {shared}")
-    return _finish(rep, t0)
+    return rep
 
 
 def suite_order60() -> SuiteReport:
     """Order-60 landscape: the domination poset matches the known picture."""
-    t0 = time.perf_counter()
     rep = SuiteReport("order60")
     pairs = catalog(60)
     seqs = {name: order_sequence(g) for name, g in pairs}
@@ -414,12 +401,11 @@ def suite_order60() -> SuiteReport:
             f"{name} is not a non-nilpotent group below both nilpotent groups",
         )
     rep.note(f"minimal classes: {', '.join(sorted(minimal))}")
-    return _finish(rep, t0)
+    return rep
 
 
 def suite_simple_pair() -> SuiteReport:
     """The two simple-group-sized order sequences of size 20160 compare as expected."""
-    t0 = time.perf_counter()
     rep = SuiteReport("simple-pair")
     a8 = alternating(8)
     psl = psl_3_4()
@@ -433,56 +419,39 @@ def suite_simple_pair() -> SuiteReport:
     strong, _ = strong_domination(sa, sp)
     rep.note(f"domination is {'strong' if strong else 'not strong'}")
     rep.note(f"orders: A8 {sa.orders} vs PSL34 {sp.orders}")
-    return _finish(rep, t0)
+    return rep
+
+
+def _incomparable_pairs(listing) -> list[tuple[str, str]]:
+    """Name pairs (i < j, in listing order) of a (name, group) listing whose sequences are incomparable."""
+    seqs = [(name, order_sequence(g)) for name, g in listing]
+    return [(a, b) for i, (a, sa) in enumerate(seqs) for b, sb in seqs[i + 1 :] if not comparable(sa, sb)]
 
 
 def suite_antichain() -> SuiteReport:
     """Smallest incomparable pairs: order 12 in general, order 36 among abelian groups."""
-    t0 = time.perf_counter()
     rep = SuiteReport("antichain")
     for n in range(1, 12):
-        seqs = [(name, order_sequence(g)) for name, g in catalog(n)]
-        for i in range(len(seqs)):
-            for j in range(i + 1, len(seqs)):
-                rep.cases += 1
-                rep.require(
-                    comparable(seqs[i][1], seqs[j][1]),
-                    f"order {n}: {seqs[i][0]} and {seqs[j][0]} are incomparable",
-                )
-    seqs = [(name, order_sequence(g)) for name, g in catalog(12)]
-    found = [
-        (seqs[i][0], seqs[j][0])
-        for i in range(len(seqs))
-        for j in range(i + 1, len(seqs))
-        if not comparable(seqs[i][1], seqs[j][1])
-    ]
+        listing = catalog(n)
+        rep.cases += math.comb(len(listing), 2)
+        for a, b in _incomparable_pairs(listing):
+            rep.failures.append(f"order {n}: {a} and {b} are incomparable")
+    found = _incomparable_pairs(catalog(12))
     rep.cases += 1
     rep.require(bool(found), "no incomparable pair at order 12")
     if found:
         rep.note(f"order 12 incomparable pair: {found[0][0]} vs {found[0][1]}")
     for n in range(2, 36):
-        groups = abelian_groups_of_order(n)
-        seqs = [(g.name, order_sequence(g)) for g in groups]
-        for i in range(len(seqs)):
-            for j in range(i + 1, len(seqs)):
-                rep.cases += 1
-                rep.require(
-                    comparable(seqs[i][1], seqs[j][1]),
-                    f"abelian order {n}: {seqs[i][0]} and {seqs[j][0]} are incomparable",
-                )
-    groups = abelian_groups_of_order(36)
-    seqs = [(g.name, order_sequence(g)) for g in groups]
-    found = [
-        (seqs[i][0], seqs[j][0])
-        for i in range(len(seqs))
-        for j in range(i + 1, len(seqs))
-        if not comparable(seqs[i][1], seqs[j][1])
-    ]
+        listing = [(g.name, g) for g in abelian_groups_of_order(n)]
+        rep.cases += math.comb(len(listing), 2)
+        for a, b in _incomparable_pairs(listing):
+            rep.failures.append(f"abelian order {n}: {a} and {b} are incomparable")
+    found = _incomparable_pairs([(g.name, g) for g in abelian_groups_of_order(36)])
     rep.cases += 1
     rep.require(bool(found), "no incomparable abelian pair at order 36")
     if found:
         rep.note(f"abelian order 36 incomparable pair: {found[0][0]} vs {found[0][1]}")
-    return _finish(rep, t0)
+    return rep
 
 
 SUITES = {
@@ -500,29 +469,34 @@ SUITES = {
 
 
 def run_suite(name: str, order: int | None = None) -> list[SuiteReport]:
-    """Run one named suite, sweeping the supported orders when none is given."""
+    """Run one named suite, sweeping the supported orders when none is given.
+
+    Each report's seconds is the wall time of its own suite call.
+    """
     if name not in SUITES:
         raise KeyError(name)
     kind, fn = SUITES[name]
     if kind == "per-order":
-        if order is not None:
-            return [fn(order)]
-        orders = [n for n in supported_orders() if n > 1 or name != "gap-bounds"]
-        return [fn(n) for n in orders]
-    if kind == "grid":
-        if order is not None:
-            return [fn(order, p) for p in (2, 3)]
-        return [fn(n, p) for n in range(1, 11) for p in (2, 3)]
-    if order is not None:
+        if order is None:
+            calls = [(n,) for n in supported_orders() if n > 1 or name != "gap-bounds"]
+        else:
+            calls = [(order,)]
+    elif kind == "grid":
+        sizes = range(1, 11) if order is None else [order]
+        calls = [(n, p) for n in sizes for p in (2, 3)]
+    elif order is not None:
         raise PreconditionError(f"suite {name} does not take an order")
-    return [fn()]
-
-
-def run_all(stretch: bool = False) -> list[SuiteReport]:
-    """Run every suite; the stretch flag pulls in the expensive simple-group pair."""
+    else:
+        calls = [()]
     reports = []
-    for name, (kind, _) in SUITES.items():
-        if kind == "stretch" and not stretch:
-            continue
-        reports.extend(run_suite(name))
+    for args in calls:
+        t0 = time.perf_counter()
+        rep = fn(*args)
+        rep.seconds = time.perf_counter() - t0
+        reports.append(rep)
     return reports
+
+
+def run_all() -> list[SuiteReport]:
+    """Run every suite except the simple-group pair, which runs only by name."""
+    return [rep for name, (kind, _) in SUITES.items() if kind != "stretch" for rep in run_suite(name)]

@@ -149,6 +149,7 @@ def test_verify_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "verify")
     assert code == 2
+    assert "choose --all or --suite NAME" in err
 
 
 def test_verify_precondition_exit(capsys):

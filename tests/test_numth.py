@@ -6,8 +6,8 @@ from ordseq.numth import (
     divisors,
     euler_phi,
     factorize,
+    is_power_of,
     is_prime,
-    multiplicative_order,
     prime_divisors,
 )
 
@@ -62,16 +62,6 @@ def test_euler_phi_divisor_sum():
         assert sum(euler_phi(d) for d in divisors(n)) == n
 
 
-def test_multiplicative_order():
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(3, 7) == 6
-    assert multiplicative_order(2, 15) == 4
-    for a, n in [(2, 9), (5, 12), (7, 10)]:
-        k = multiplicative_order(a, n)
-        assert pow(a, k, n) == 1
-        assert euler_phi(n) % k == 0
-
-
-def test_multiplicative_order_needs_unit():
-    with pytest.raises(ValueError):
-        multiplicative_order(6, 15)
+def test_is_power_of():
+    assert is_power_of(1, 2) and is_power_of(8, 2) and is_power_of(81, 3)
+    assert not is_power_of(12, 2) and not is_power_of(3, 2) and not is_power_of(18, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -149,6 +150,21 @@ def test_box_move_chain_stays_among_partitions_of_n():
             for c in parts:
                 if majorizes(b, c):
                     assert set(box_move_chain(b, c)) <= known, (b, c)
+
+
+def test_box_move_chain_digest_is_pinned():
+    # `partition B --chain C` prints these chains, so they must not move
+    h = hashlib.sha256()
+    pairs = 0
+    for n in range(11):
+        parts = partitions_of(n)
+        for b in parts:
+            for c in parts:
+                if majorizes(b, c):
+                    h.update(repr(box_move_chain(b, c)).encode())
+                    pairs += 1
+    assert pairs == 1720
+    assert h.hexdigest()[:16] == "4e997adddc01490e"
 
 
 def test_box_move_chain_errors():

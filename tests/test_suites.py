@@ -99,8 +99,14 @@ def test_run_all():
     assert len(reports) == 81
     assert all(r.passed for r in reports)
     assert sum(r.cases for r in reports) == 7488
-    # the gated suite only joins on request
+    # the simple-group pair runs only by name
     assert not any(r.name == "simple-pair" for r in reports)
+
+
+def test_run_suite_times_each_report():
+    # suites leave seconds at 0.0; the runner times each call
+    assert suite_unique_max(4).seconds == 0.0
+    assert run_suite("order16")[0].seconds > 0
 
 
 def test_gap_bound_equality_notes():
