@@ -14,7 +14,6 @@ from .catalog import (
     supported_orders,
 )
 from .errors import (
-    AntisymmetryViolation,
     LengthMismatch,
     NoWitness,
     OrdseqError,
@@ -30,7 +29,6 @@ from .graphs import (
     canonical_form,
     directed_power_graph,
     gk_graph,
-    graphs_isomorphic,
     power_graph,
     render_dot,
 )
@@ -39,12 +37,9 @@ from .groups import (
     abelian,
     alternating,
     cyclic,
-    dicyclic,
     dihedral,
     direct_product,
     heisenberg,
-    permutation_group,
-    semidirect_product,
     symmetric,
 )
 from .partitions import (
@@ -75,7 +70,6 @@ from .sequences import (
     seq_product,
     strictly_dominates,
     strong_domination,
-    strongly_dominates,
 )
 from .suites import (
     SuiteReport,

@@ -13,6 +13,7 @@ from .errors import (
 )
 from .expressions import parse_group
 from .graphs import directed_power_graph, gk_graph, power_graph, render_dot
+from .groups import MAX_GROUP_SIZE
 from .partitions import (
     abelian_order_sequence,
     box_move_chain,
@@ -266,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument(
-        "--max-size", type=int, default=25000, help="largest group order the parser will build"
+        "--max-size", type=int, default=MAX_GROUP_SIZE, help="largest group order the parser will build"
     )
     parser = argparse.ArgumentParser(prog="ordseq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -59,9 +59,5 @@ class NotAbelianPGroupSequence(PreconditionError):
     """A sequence is not the order sequence of any abelian p-group."""
 
 
-class AntisymmetryViolation(OrdseqError):
-    """Two distinct items compare below each other with collapsing disabled."""
-
-
 class UnsupportedOrderError(OrdseqError):
     """No complete catalog is available for the requested group order."""

@@ -1,7 +1,8 @@
-"""Graphs attached to groups and a canonical-form isomorphism test.
+"""Graphs attached to groups and a canonical form for isomorphism.
 
-Graphs are small and labelled; isomorphism works by color refinement with
-individualization, pruning vertices that are interchangeable twins.
+Graphs are small and labelled; the canonical form of an undirected graph
+ignores the labels and comes from color refinement with individualization,
+pruning vertices that are interchangeable twins.
 """
 
 from __future__ import annotations
@@ -34,22 +35,6 @@ class LabeledGraph:
             if not self.directed and a > b:
                 raise PreconditionError("undirected edges must be stored low-high")
 
-    def degree_profile(self) -> Counter:
-        outs = Counter()
-        ins = Counter()
-        for a, b in self.edges:
-            outs[a] += 1
-            ins[b] += 1
-        if self.directed:
-            return Counter((outs[v], ins[v]) for v in range(self.n))
-        return Counter(outs[v] + ins[v] for v in range(self.n))
-
-
-def _edge(a: int, b: int, directed: bool):
-    if directed or a < b:
-        return (a, b)
-    return (b, a)
-
 
 def power_graph(group) -> LabeledGraph:
     """Undirected graph joining g and h when one is a power of the other."""
@@ -60,7 +45,7 @@ def power_graph(group) -> LabeledGraph:
     for g in range(1, n):
         x = group.mul(g, g)
         while x != g:
-            edges.add(_edge(g, x, False))
+            edges.add((min(g, x), max(g, x)))
             x = group.mul(x, g)
     labels = tuple(str(i) for i in range(n))
     return LabeledGraph(n, labels, frozenset(edges), directed=False)
@@ -110,24 +95,17 @@ def render_dot(graph: LabeledGraph) -> str:
     return "\n".join(lines)
 
 
-def _adjacency(graph: LabeledGraph):
-    out = [set() for _ in range(graph.n)]
-    inc = [set() for _ in range(graph.n)]
+def _neighbours(graph: LabeledGraph):
+    nbrs = [set() for _ in range(graph.n)]
     for a, b in graph.edges:
-        out[a].add(b)
-        inc[b].add(a)
-        if not graph.directed:
-            out[b].add(a)
-            inc[a].add(b)
-    return out, inc
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return nbrs
 
 
-def _refine(n: int, out, inc, colors):
+def _refine(n: int, nbrs, colors):
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in out[v])), tuple(sorted(colors[u] for u in inc[v])))
-            for v in range(n)
-        ]
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
         order = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
         if new == colors:
@@ -135,37 +113,29 @@ def _refine(n: int, out, inc, colors):
         colors = new
 
 
-def _twin_classes(cell, out, inc):
+def _twin_classes(cell, nbrs):
     """Group cell vertices that have identical neighborhoods off each other."""
     reps = []
     for v in cell:
-        placed = False
         for rep_list in reps:
             u = rep_list[0]
-            if (
-                out[u] - {v} == out[v] - {u}
-                and inc[u] - {v} == inc[v] - {u}
-                and ((v in out[u]) == (u in out[v]))
-            ):
+            if nbrs[u] - {v} == nbrs[v] - {u}:
                 rep_list.append(v)
-                placed = True
                 break
-        if not placed:
+        else:
             reps.append([v])
     return [r[0] for r in reps]
 
 
-def canonical_form(graph: LabeledGraph, respect_labels: bool = False):
-    """A string form equal exactly for isomorphic graphs; capped in size."""
+def canonical_form(graph: LabeledGraph) -> str:
+    """A string form of an undirected graph, equal exactly for isomorphic
+    graphs; labels are ignored and the size is capped."""
     n = graph.n
+    if graph.directed:
+        raise PreconditionError("canonical forms are defined for undirected graphs")
     if n > CANONICAL_LIMIT:
         raise SizeLimitError(f"canonical forms are capped at {CANONICAL_LIMIT} vertices")
-    out, inc = _adjacency(graph)
-    if respect_labels:
-        order = {lab: i for i, lab in enumerate(sorted(set(graph.labels)))}
-        init = [order[lab] for lab in graph.labels]
-    else:
-        init = [0] * n
+    nbrs = _neighbours(graph)
     best: list = [None]
 
     def leaf_form(colors):
@@ -174,16 +144,13 @@ def canonical_form(graph: LabeledGraph, respect_labels: bool = False):
         bits = []
         for v in pos:
             row = ["0"] * n
-            for u in out[v]:
+            for u in nbrs[v]:
                 row[where[u]] = "1"
             bits.append("".join(row))
-        form = "|".join(bits)
-        if respect_labels:
-            form += "#" + ",".join(graph.labels[v] for v in pos)
-        return form
+        return "|".join(bits)
 
     def rec(colors):
-        colors = _refine(n, out, inc, colors)
+        colors = _refine(n, nbrs, colors)
         counts = Counter(colors)
         target = None
         for c in sorted(counts):
@@ -196,23 +163,10 @@ def canonical_form(graph: LabeledGraph, respect_labels: bool = False):
                 best[0] = form
             return
         cell = [v for v in range(n) if colors[v] == target]
-        for v in _twin_classes(cell, out, inc):
+        for v in _twin_classes(cell, nbrs):
             child = list(colors)
             child[v] = n + 1
             rec(child)
 
-    rec(init)
-    return (graph.directed, n, best[0])
-
-
-def graphs_isomorphic(a: LabeledGraph, b: LabeledGraph, respect_labels: bool = False) -> bool:
-    """Isomorphism through cheap invariants, then canonical forms."""
-    if a.directed != b.directed:
-        return False
-    if a.n != b.n or len(a.edges) != len(b.edges):
-        return False
-    if a.degree_profile() != b.degree_profile():
-        return False
-    if respect_labels and Counter(a.labels) != Counter(b.labels):
-        return False
-    return canonical_form(a, respect_labels) == canonical_form(b, respect_labels)
+    rec([0] * n)
+    return best[0]

@@ -74,26 +74,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} of size {self.size}>"
 
-    def power(self, a: int, k: int) -> int:
-        """a**k by binary powering; negative k goes through the inverse."""
-        if k < 0:
-            a, k = self.inv(a), -k
-        out = 0
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return out
-
-    def element_order(self, a: int) -> int:
-        o = 1
-        x = a
-        while x != 0:
-            x = self.mul(x, a)
-            o += 1
-        return o
-
     def element_orders(self) -> tuple[int, ...]:
         """Order of every element, computed one cyclic subgroup at a time.
 
@@ -621,20 +601,12 @@ def power_map(n: int, r: int) -> tuple[int, ...]:
     return tuple(r * x % n for x in range(n))
 
 
-def semidirect_product(target: FiniteGroup, k: int, gen_perm, name: str | None = None) -> SemidirectProductGroup:
-    return SemidirectProductGroup(target, k, gen_perm, name)
-
-
 def dihedral(order: int) -> FiniteGroup:
     """Symmetries of the regular (order/2)-gon."""
     if order % 2 or order < 2:
         raise PreconditionError("dihedral groups have even order")
     m = order // 2
     return SemidirectProductGroup(CyclicGroup(m), 2, power_map(m, -1), name=f"D{order}")
-
-
-def dicyclic(order: int) -> DicyclicGroup:
-    return DicyclicGroup(order)
 
 
 def heisenberg(p: int) -> HeisenbergGroup:
@@ -665,11 +637,3 @@ def alternating(m: int) -> PermutationGroup:
         p[0], p[1], p[k] = 1, k, 0
         gens.append(tuple(p))
     return PermutationGroup(m, gens, name=f"A{m}")
-
-
-def permutation_group(generators, name: str | None = None) -> PermutationGroup:
-    """Closure of explicit permutations; the degree is read off the first one."""
-    gens = [tuple(g) for g in generators]
-    if not gens:
-        raise PreconditionError("need at least one permutation to fix the degree")
-    return PermutationGroup(len(gens[0]), gens, name or f"Perm{len(gens[0])}")

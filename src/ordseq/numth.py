@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import PreconditionError
+
 
 def is_prime(n: int) -> bool:
     """Return True when n is prime, by trial division up to sqrt(n)."""
@@ -29,7 +31,7 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Return the prime factorization of n as ((p, exponent), ...) with p ascending."""
     if n < 1:
-        raise ValueError(f"cannot factorize {n}")
+        raise PreconditionError(f"cannot factorize {n}")
     out: list[tuple[int, int]] = []
     rest = n
     p = 2

@@ -1,10 +1,10 @@
 """Finite posets built from a comparison callable, with Hasse diagrams.
 
 Items compare through a user relation that is only assumed reflexive and
-transitive; mutually comparable items are collapsed into one class unless
-the caller forbids that.  The transitivity check and the Hasse covers
-work on each row of the relation held as an int bitmask, so a step over
-a whole row is one big-int operation.
+transitive; mutually comparable items are collapsed into one class.  The
+transitivity check and the Hasse covers work on each row of the relation
+held as an int bitmask, so a step over a whole row is one big-int
+operation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import AntisymmetryViolation, PreconditionError
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -23,15 +23,6 @@ class Poset:
     names: tuple[str, ...]
     members: tuple[tuple[str, ...], ...]
     relation: tuple[tuple[bool, ...], ...]
-
-    def index(self, name: str) -> int:
-        for i, nm in enumerate(self.names):
-            if nm == name or name in self.members[i]:
-                return i
-        raise PreconditionError(f"{name} is not in the poset")
-
-    def leq(self, a: str, b: str) -> bool:
-        return self.relation[self.index(a)][self.index(b)]
 
 
 def _mask(row) -> int:
@@ -47,12 +38,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-def build_poset(items, leq, collapse: bool = True) -> Poset:
+def build_poset(items, leq) -> Poset:
     """Build a poset from (name, value) pairs under the given relation.
 
-    When collapse is set, values comparable both ways share a class named
-    by joining their sorted item names with '='; otherwise such a pair
-    raises AntisymmetryViolation.
+    Values comparable both ways share a class named by joining their
+    sorted item names with '='.
     """
     items = list(items)
     names = [name for name, _ in items]
@@ -67,8 +57,6 @@ def build_poset(items, leq, collapse: bool = True) -> Poset:
     for i in range(k):
         for j in range(i + 1, k):
             if rel[i][j] and rel[j][i]:
-                if not collapse:
-                    raise AntisymmetryViolation(f"{names[i]} and {names[j]} compare below each other")
                 root = min(cls_of[i], cls_of[j])
                 old_i, old_j = cls_of[i], cls_of[j]
                 for t in range(k):

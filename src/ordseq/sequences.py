@@ -42,12 +42,6 @@ class OrderSequence:
     def orders(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.pairs)
 
-    def expanded(self) -> tuple[int, ...]:
-        return tuple(d for d, m in self.pairs for _ in range(m))
-
-    def count_up_to(self, threshold: int) -> int:
-        return sum(m for d, m in self.pairs if d <= threshold)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, OrderSequence) and self.pairs == other.pairs
 
@@ -232,10 +226,6 @@ def strong_domination(a: OrderSequence, b: OrderSequence):
     return False, HallCertificate(stuck_a, covered_b, need, have)
 
 
-def strongly_dominates(a: OrderSequence, b: OrderSequence) -> bool:
-    return strong_domination(a, b)[0]
-
-
 def seq_product(a: OrderSequence, b: OrderSequence) -> OrderSequence:
     """Pairwise plain products; agrees with seq_join iff all pairs are coprime."""
     counts: dict[int, int] = {}
@@ -281,18 +271,14 @@ def plausibility_violation(seq: OrderSequence, n: int | None = None):
     return None
 
 
-def nilpotent_from_sequence(seq: OrderSequence, n: int | None = None) -> bool:
+def nilpotent_from_sequence(seq: OrderSequence) -> bool:
     """Decide nilpotency from the sequence alone.
 
     A group is nilpotent exactly when, for every prime p dividing its
     order, the number of elements of p-power order (identity included)
     equals the full Sylow p-subgroup order.
     """
-    if n is None:
-        n = seq.total
-    if seq.total != n:
-        raise LengthMismatch(f"sequence length {seq.total} does not match order {n}")
-    for p, e in factorize(n):
+    for p, e in factorize(seq.total):
         count = 1
         for d, mult in seq.pairs:
             if d > 1 and is_power_of(d, p):

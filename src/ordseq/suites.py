@@ -176,19 +176,16 @@ def suite_gap_bounds(n: int) -> SuiteReport:
     return rep
 
 
-def _default_extension_triples():
-    return [
+def suite_extension() -> SuiteReport:
+    """seq_product of a coprime abelian normal piece and the quotient strongly dominates the extension."""
+    rep = SuiteReport("extension")
+    triples = [
         (abelian([2, 2]), cyclic(3), alternating(4)),
         (cyclic(3), cyclic(4), DicyclicGroup(12)),
         (cyclic(5), cyclic(4), frobenius20()),
         (cyclic(7), cyclic(3), frobenius21()),
     ]
-
-
-def suite_extension(triples=None) -> SuiteReport:
-    """seq_product of a coprime abelian normal piece and the quotient strongly dominates the extension."""
-    rep = SuiteReport("extension")
-    for g, h, k in triples if triples is not None else _default_extension_triples():
+    for g, h, k in triples:
         rep.cases += 1
         label = f"({g.name}, {h.name}, {k.name})"
         if not g.is_abelian():

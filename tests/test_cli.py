@@ -158,6 +158,21 @@ def test_verify_precondition_exit(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("os", "Aff(0,1,1)"),
+        ("verify", "--suite", "nilpotent-minimality", "--order", "0"),
+        ("verify", "--suite", "nilpotent-minimality", "--order", "-4"),
+    ],
+)
+def test_non_positive_orders_exit_4(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_verify_all(capsys):
     code, out, _ = run_cli(capsys, "verify", "--all")
     assert code == 0

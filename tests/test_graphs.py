@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -10,11 +11,10 @@ from ordseq.graphs import (
     canonical_form,
     directed_power_graph,
     gk_graph,
-    graphs_isomorphic,
     power_graph,
     render_dot,
 )
-from ordseq.groups import abelian, alternating, cyclic, dicyclic, dihedral, symmetric
+from ordseq.groups import DicyclicGroup, abelian, alternating, cyclic, dihedral, symmetric
 from ordseq.sequences import order_sequence
 
 
@@ -22,7 +22,7 @@ def test_power_graph_cyclic_is_complete():
     g = power_graph(cyclic(4))
     assert g.n == 4
     assert len(g.edges) == 6
-    assert g.degree_profile() == Counter({3: 4})
+    assert Counter(v for edge in g.edges for v in edge) == Counter({v: 3 for v in range(4)})
 
 
 def test_power_graph_klein_four_is_a_star():
@@ -31,12 +31,12 @@ def test_power_graph_klein_four_is_a_star():
     assert all(0 in edge for edge in g.edges)
 
 
-@pytest.mark.parametrize("group", [cyclic(6), symmetric(3), dicyclic(12)])
+@pytest.mark.parametrize("group", [cyclic(6), symmetric(3), DicyclicGroup(12)])
 def test_directed_power_graph_out_degrees(group):
     g = directed_power_graph(group)
     out = Counter(a for a, _ in g.edges)
     for v in range(group.size):
-        assert out[v] + 1 == group.element_order(v)
+        assert out[v] + 1 == group.element_orders()[v]
 
 
 def test_gk_graphs():
@@ -78,24 +78,73 @@ def test_canonical_form_relabeling_invariance():
     for _ in range(20):
         other = _shuffled(base, rng)
         assert canonical_form(other) == form
-        assert graphs_isomorphic(base, other)
+
+
+def _cycles(*lengths):
+    edges, start = set(), 0
+    for k in lengths:
+        for i in range(k):
+            a, b = start + i, start + (i + 1) % k
+            edges.add((min(a, b), max(a, b)))
+        start += k
+    return LabeledGraph(start, ("",) * start, frozenset(edges))
+
+
+def test_canonical_form_beyond_colour_refinement():
+    # every 2-regular graph refines to a single colour class; only
+    # individualization tells its cycles apart
+    assert canonical_form(_cycles(6)) != canonical_form(_cycles(3, 3))
+    base = _cycles(3, 4)
+    form = canonical_form(base)
+    rng = random.Random(5)
+    for _ in range(30):
+        assert canonical_form(_shuffled(base, rng)) == form
 
 
 def test_order16_power_graph_coincidences():
     def pg(name):
         return power_graph(group_by_name(16, name))
 
-    assert graphs_isomorphic(pg("C8xC2"), pg("M16"))
-    assert graphs_isomorphic(pg("C4xC2xC2"), pg("D8*C4"))
+    assert canonical_form(pg("C8xC2")) == canonical_form(pg("M16"))
+    assert canonical_form(pg("C4xC2xC2")) == canonical_form(pg("D8*C4"))
     # a shared order sequence does not force a shared power graph
-    assert not graphs_isomorphic(pg("C4xC4"), pg("Q8xC2"))
+    assert canonical_form(pg("C4xC4")) != canonical_form(pg("Q8xC2"))
 
 
-def test_respect_labels():
+def _all_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield n, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1)
+
+
+def _brute_force_form(n, edges):
+    # the least sorted edge list over every relabelling
+    return min(
+        sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in edges)
+        for p in itertools.permutations(range(n))
+    )
+
+
+def test_canonical_form_matches_brute_force_on_small_graphs():
+    graphs = [g for n in range(1, 6) for g in _all_graphs(n)]
+    assert len(graphs) == 1099
+    forms, oracle = {}, {}
+    for n, edges in graphs:
+        form = canonical_form(LabeledGraph(n, ("",) * n, edges))
+        forms.setdefault(form, set()).add((n, edges))
+        oracle.setdefault((n, tuple(_brute_force_form(n, edges))), set()).add((n, edges))
+    # graphs on 1..5 unlabelled vertices: 1 + 2 + 4 + 11 + 34 (OEIS A000088)
+    assert len(oracle) == 52
+    # equal forms exactly when the brute-force forms are equal
+    assert set(map(frozenset, forms.values())) == set(map(frozenset, oracle.values()))
+
+
+def test_canonical_form_ignores_labels_and_rejects_directed():
     g1 = LabeledGraph(3, ("a", "a", "b"), frozenset({(0, 1)}))
     g2 = LabeledGraph(3, ("a", "b", "b"), frozenset({(0, 1)}))
-    assert graphs_isomorphic(g1, g2)
-    assert not graphs_isomorphic(g1, g2, respect_labels=True)
+    assert canonical_form(g1) == canonical_form(g2)
+    with pytest.raises(PreconditionError):
+        canonical_form(directed_power_graph(cyclic(3)))
 
 
 def test_size_caps():

@@ -13,17 +13,17 @@ from ordseq.errors import (
 )
 from ordseq.catalog import group_by_name
 from ordseq.groups import (
+    DicyclicGroup,
+    PermutationGroup,
+    SemidirectProductGroup,
     _seeded_draws,
     abelian,
     alternating,
     cyclic,
-    dicyclic,
     dihedral,
     direct_product,
     heisenberg,
-    permutation_group,
     power_map,
-    semidirect_product,
     symmetric,
 )
 from ordseq.sequences import order_sequence
@@ -39,7 +39,7 @@ def test_cyclic_basics():
 
 def test_abelian_products():
     v4 = abelian([2, 2])
-    assert all(g == 0 or v4.element_order(g) == 2 for g in range(4))
+    assert all(g == 0 or v4.element_orders()[g] == 2 for g in range(4))
     assert abelian([]).size == 1
     assert abelian([4, 3]).is_isomorphic(cyclic(12))
 
@@ -79,7 +79,7 @@ def test_seeded_draws_match_randrange(n):
 
 def test_dihedral_and_dicyclic_sequences():
     assert str(order_sequence(dihedral(12))) == "1:1,2:7,3:2,6:2"
-    assert str(order_sequence(dicyclic(12))) == "1:1,2:1,3:2,4:6,6:2"
+    assert str(order_sequence(DicyclicGroup(12))) == "1:1,2:1,3:2,4:6,6:2"
 
 
 def test_dihedral_rejects_odd_order():
@@ -89,13 +89,13 @@ def test_dihedral_rejects_odd_order():
 
 def test_dicyclic_needs_multiple_of_four():
     with pytest.raises(PreconditionError):
-        dicyclic(6)
+        DicyclicGroup(6)
 
 
 def test_symmetric_and_alternating():
     s3 = symmetric(3)
     assert s3.size == 6
-    assert order_sequence(s3).expanded() == (1, 2, 2, 2, 3, 3)
+    assert order_sequence(s3).pairs == ((1, 1), (2, 3), (3, 2))
     assert str(order_sequence(alternating(4))) == "1:1,2:3,3:8"
     assert alternating(5).size == 60
     # degenerate degrees still give a group
@@ -105,11 +105,15 @@ def test_symmetric_and_alternating():
 
 def test_power_and_inverse():
     g = symmetric(3)
+    orders = g.element_orders()
     for a in range(g.size):
-        assert g.power(a, -1) == g.inv(a)
-        assert g.power(a, 0) == 0
+        # a**(order - 1) is the inverse of a
+        x = 0
+        for _ in range(orders[a] - 1):
+            x = g.mul(x, a)
+        assert x == g.inv(a)
         assert g.mul(a, g.inv(a)) == 0
-    assert g.element_order(0) == 1
+    assert orders[0] == 1
 
 
 def test_subgroup_and_quotient():
@@ -126,7 +130,7 @@ def test_subgroup_and_quotient():
 
 def test_quotient_needs_normal_subgroup():
     g = symmetric(3)
-    a = next(x for x in range(g.size) if g.element_order(x) == 2)
+    a = next(x for x in range(g.size) if g.element_orders()[x] == 2)
     h = g.closure([a])
     assert len(h) == 2
     with pytest.raises(NotNormal):
@@ -145,7 +149,7 @@ def test_sylow_and_nilpotency():
     assert len(s4.sylow_subgroup(2)) == 8
     assert len(s4.sylow_subgroup(3)) == 3
     assert not s4.is_nilpotent()
-    assert dicyclic(8).is_nilpotent()
+    assert DicyclicGroup(8).is_nilpotent()
     assert abelian([4, 3]).is_nilpotent()
     assert not symmetric(3).is_nilpotent()
 
@@ -158,7 +162,7 @@ def test_direct_product():
 
 
 def test_semidirect_inversion_gives_dihedral():
-    g = semidirect_product(cyclic(5), 2, power_map(5, -1))
+    g = SemidirectProductGroup(cyclic(5), 2, power_map(5, -1))
     assert g.size == 10
     assert order_sequence(g) == order_sequence(dihedral(10))
 
@@ -166,16 +170,16 @@ def test_semidirect_inversion_gives_dihedral():
 def test_action_validation():
     # x -> 2x is not injective mod 4
     with pytest.raises(ActionNotAutomorphism):
-        semidirect_product(cyclic(4), 2, power_map(4, 2))
+        SemidirectProductGroup(cyclic(4), 2, power_map(4, 2))
     # swapping 1 and 2 permutes C5 but breaks its sums
     with pytest.raises(ActionNotAutomorphism):
-        semidirect_product(cyclic(5), 2, (0, 2, 1, 3, 4))
+        SemidirectProductGroup(cyclic(5), 2, (0, 2, 1, 3, 4))
     # doubling mod 5 is an automorphism of order 4, too big for C2
     with pytest.raises(ActionNotHomomorphism):
-        semidirect_product(cyclic(5), 2, power_map(5, 2))
+        SemidirectProductGroup(cyclic(5), 2, power_map(5, 2))
     # the generator of C1 can only act trivially
     with pytest.raises(ActionNotHomomorphism):
-        semidirect_product(cyclic(5), 1, power_map(5, -1))
+        SemidirectProductGroup(cyclic(5), 1, power_map(5, -1))
 
 
 def _table_digest(g):
@@ -207,8 +211,8 @@ def test_semidirect_samples_pairs_on_large_targets():
     swap = list(range(300))
     swap[1], swap[2] = 2, 1
     with pytest.raises(ActionNotAutomorphism):
-        semidirect_product(cyclic(300), 2, swap)
-    g = semidirect_product(cyclic(257), 2, power_map(257, -1))
+        SemidirectProductGroup(cyclic(300), 2, swap)
+    g = SemidirectProductGroup(cyclic(257), 2, power_map(257, -1))
     assert str(order_sequence(g)) == "1:1,2:257,257:256"
 
 
@@ -216,7 +220,7 @@ def test_isomorphism_checks():
     assert cyclic(4).is_isomorphic(abelian([4]))
     assert not cyclic(4).is_isomorphic(abelian([2, 2]))
     assert dihedral(6).is_isomorphic(symmetric(3))
-    assert not dihedral(8).is_isomorphic(dicyclic(8))
+    assert not dihedral(8).is_isomorphic(DicyclicGroup(8))
 
 
 def test_isomorphism_search_decides_order16_pairs():
@@ -226,13 +230,13 @@ def test_isomorphism_search_decides_order16_pairs():
 
 
 def test_permutation_group():
-    g = permutation_group([(1, 2, 0)])
+    g = PermutationGroup(3, [(1, 2, 0)])
     assert g.size == 3
     assert g.is_isomorphic(cyclic(3))
 
 
 def test_generating_sequence_closes():
-    for g in [cyclic(12), symmetric(3), dicyclic(8)]:
+    for g in [cyclic(12), symmetric(3), DicyclicGroup(8)]:
         gens = g.generating_sequence()
         assert set(g.closure(gens)) == set(range(g.size))
 

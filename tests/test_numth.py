@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ordseq.errors import PreconditionError
 from ordseq.numth import (
     divisors,
     euler_phi,
@@ -28,6 +29,12 @@ def test_factorize_known():
     assert factorize(1) == ()
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
     assert factorize(97) == ((97, 1),)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_factorize_rejects_non_positive(n):
+    with pytest.raises(PreconditionError):
+        factorize(n)
 
 
 def test_factorize_reconstructs():

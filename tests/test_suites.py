@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from ordseq.errors import NoWitness, PreconditionError
@@ -20,6 +23,8 @@ from ordseq.suites import (
     suite_partition,
     suite_unique_max,
 )
+
+VERIFY_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify.json"
 
 
 @pytest.mark.parametrize(
@@ -101,6 +106,11 @@ def test_run_all():
     assert sum(r.cases for r in reports) == 7488
     # the simple-group pair runs only by name
     assert not any(r.name == "simple-pair" for r in reports)
+    # every report, seconds aside, matches the recorded verify --all --json output
+    reference = json.loads(VERIFY_REFERENCE.read_text())
+    assert reference["passed"] is True
+    rows = [{k: v for k, v in r.to_dict().items() if k != "seconds"} for r in reports]
+    assert rows == reference["reports"]
 
 
 def test_run_suite_times_each_report():
