@@ -2,22 +2,26 @@
 
 Field elements are bare integer codes 0..q-1 whose base-p digits are the
 coefficients of a polynomial, constant digit first.  The modulus is the
-first monic irreducible polynomial in code order.  The groups are the
-affine maps x -> a*x + b with a in a cyclic subgroup of the units, and
-PSL(3,4) as a permutation group on the 21 points of its projective plane.
+first monic irreducible polynomial in code order.  Addition is digit-wise
+mod p, which is exactly the elementary abelian group C_p**d on the same
+codes; multiplication reads exp/log tables over the lowest-coded
+primitive element, so every order up to FIELD_SIZE_LIMIT takes the same
+path.  The groups are the affine maps x -> a*x + b with a in a cyclic
+subgroup of the units, and PSL(3,4) as a permutation group on the 21
+points of its projective plane.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import product
 
 from .errors import NoSuchOrder, PreconditionError, SizeLimitError
-from .groups import FiniteGroup, PermutationGroup
-from .numth import divisors, factorize, is_prime
+from .groups import AbelianGroup, FiniteGroup, PermutationGroup
+from .numth import factorize, is_prime
 
 FIELD_SIZE_LIMIT = 4096
-_TABLE_LIMIT = 256
 
 
 def _digits_of(code: int, length: int, p: int) -> list[int]:
@@ -41,7 +45,14 @@ def _poly_divisible(dividend, divisor, p: int) -> bool:
 
 
 class FiniteField:
-    """Field with p**d elements and arithmetic on integer codes."""
+    """Field with p**d elements and arithmetic on integer codes.
+
+    `add` and `neg` are the product and inverse of AbelianGroup([p] * d),
+    whose stride arithmetic adds the base-p digits mod p.  `mul`, `inv`
+    and `element_order` go through the discrete logarithm to the base of
+    the lowest-coded primitive element (Lidl & Niederreiter, Finite
+    Fields, ch. 9): exp[i] is its i-th power and log inverts exp.
+    """
 
     def __init__(self, p: int, d: int):
         if not is_prime(p) or d < 1:
@@ -52,11 +63,13 @@ class FiniteField:
         self.d = d
         self.order = p**d
         self.modulus = self._find_modulus()
-        self._add_table: list[list[int]] | None = None
-        self._mul_table: list[list[int]] | None = None
-        if self.order <= _TABLE_LIMIT:
-            self._add_table = [[self._add(a, b) for b in range(self.order)] for a in range(self.order)]
-            self._mul_table = [[self._mul(a, b) for b in range(self.order)] for a in range(self.order)]
+        additive = AbelianGroup([p] * d)
+        self.add = additive.mul
+        self.neg = additive.inv
+        self._exp = self._primitive_powers()
+        self._log = [0] * self.order
+        for i, x in enumerate(self._exp):
+            self._log[x] = i
 
     def __repr__(self) -> str:
         return f"<FiniteField of order {self.order}>"
@@ -80,15 +93,7 @@ class FiniteField:
                 return tuple(low)
         raise AssertionError("an irreducible polynomial always exists")
 
-    def _add(self, a: int, b: int) -> int:
-        p = self.p
-        da, db = _digits_of(a, self.d, p), _digits_of(b, self.d, p)
-        code = 0
-        for x, y in zip(reversed(da), reversed(db)):
-            code = code * p + (x + y) % p
-        return code
-
-    def _mul(self, a: int, b: int) -> int:
+    def _poly_mul(self, a: int, b: int) -> int:
         p, d = self.p, self.d
         da, db = _digits_of(a, d, p), _digits_of(b, d, p)
         prod = [0] * (2 * d - 1)
@@ -107,46 +112,32 @@ class FiniteField:
             code = code * p + x
         return code
 
-    def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add(a, b)
-
-    def neg(self, a: int) -> int:
-        p = self.p
-        code = 0
-        for x in reversed(_digits_of(a, self.d, p)):
-            code = code * p + -x % p
-        return code
+    def _primitive_powers(self) -> list[int]:
+        """The powers 1, g, g**2, ... of the lowest-coded primitive element g."""
+        for g in range(1, self.order):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = self._poly_mul(x, g)
+            if len(powers) == self.order - 1:
+                return powers
+        raise AssertionError("the unit group of a finite field is cyclic")
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.order - 2)
-
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        out = 1
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return out
+        return self._exp[-self._log[a] % (self.order - 1)]
 
     def element_order(self, a: int) -> int:
         if a == 0:
             raise PreconditionError("0 has no multiplicative order")
-        for k in divisors(self.order - 1):
-            if self.pow(a, k) == 1:
-                return k
-        raise AssertionError("the order divides the size of the unit group")
+        return (self.order - 1) // math.gcd(self.order - 1, self._log[a])
 
 
 @lru_cache(maxsize=None)

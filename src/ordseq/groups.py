@@ -207,27 +207,6 @@ class FiniteGroup:
         gens = self.generating_sequence()
         return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
 
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        gens = self.generating_sequence()
-        seen = [False] * self.size
-        classes: list[tuple[int, ...]] = []
-        for a in range(self.size):
-            if seen[a]:
-                continue
-            seen[a] = True
-            orbit = [a]
-            stack = [a]
-            while stack:
-                x = stack.pop()
-                for g in gens:
-                    y = self.conjugate(g, x)
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-                        stack.append(y)
-            classes.append(tuple(sorted(orbit)))
-        return classes
-
     def sylow_subgroup(self, p: int) -> tuple[int, ...]:
         """A Sylow p-subgroup, grown greedily from random p-elements.
 
@@ -262,13 +241,6 @@ class FiniteGroup:
 
         return all(self.is_normal(self.sylow_subgroup(p)) for p in prime_divisors(self.size))
 
-    def _class_size_by_element(self) -> list[int]:
-        sizes = [0] * self.size
-        for c in self.conjugacy_classes():
-            for e in c:
-                sizes[e] = len(c)
-        return sizes
-
     def is_isomorphic(self, other: "FiniteGroup") -> bool:
         """Decide isomorphism by element orders, then a generator-image search."""
         if self.size != other.size:
@@ -288,11 +260,7 @@ class FiniteGroup:
     def _isomorphism_search(self, other: "FiniteGroup") -> bool:
         gens = self.generating_sequence()
         my_orders, their_orders = self.element_orders(), other.element_orders()
-        my_cls, their_cls = self._class_size_by_element(), other._class_size_by_element()
-        cands = [
-            [h for h in range(other.size) if their_orders[h] == my_orders[g] and their_cls[h] == my_cls[g]]
-            for g in gens
-        ]
+        cands = [[h for h in range(other.size) if their_orders[h] == my_orders[g]] for g in gens]
 
         def extend(images: list[int]) -> dict[int, int] | None:
             # grow the partial map over the subgroup the chosen images define;

@@ -60,14 +60,6 @@ def prime_divisors(n: int) -> tuple[int, ...]:
     return tuple(p for p, _ in factorize(n))
 
 
-def divisors(n: int) -> list[int]:
-    """Return all positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def euler_phi(n: int) -> int:
     """Return the count of integers in 1..n coprime to n."""
     out = n

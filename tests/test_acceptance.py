@@ -7,9 +7,7 @@ two groups of order 20160.
 import math
 import random
 
-import pytest
-
-from ordseq.catalog import catalog, group_by_name, nilpotent_groups_of_order, supported_orders
+from ordseq.catalog import catalog, nilpotent_groups_of_order, supported_orders
 from ordseq.fields import psl_3_4
 from ordseq.groups import (
     DicyclicGroup,

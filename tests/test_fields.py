@@ -1,3 +1,7 @@
+import hashlib
+import random
+from functools import lru_cache
+
 import pytest
 
 from ordseq.errors import NoSuchOrder, PreconditionError, SizeLimitError
@@ -30,13 +34,72 @@ def test_field_axioms_exhaustive(q):
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
+def _schoolbook(f):
+    """Field add and mul on codes, written from the code layout alone.
+
+    Addition sums the base-p digits mod p.  Multiplication sums
+    b_j * (a * x**j), stepping a * x**j to the next power of x by a shift
+    and the rule x**d = -(modulus without its leading 1).
+    """
+    p, d = f.p, f.d
+    weights = [p**i for i in range(d)]
+    digits = [[x // w % p for w in weights] for x in range(f.order)]
+
+    def code(ds):
+        return sum(c % p * w for c, w in zip(ds, weights))
+
+    def add(a, b):
+        return code([x + y for x, y in zip(digits[a], digits[b])])
+
+    @lru_cache(maxsize=None)
+    def shifts(a):
+        rows = [digits[a]]
+        for _ in range(d - 1):
+            top = rows[-1][-1]
+            rows.append([(c - top * m) % p for c, m in zip([0] + rows[-1][:-1], f.modulus)])
+        return rows
+
+    def mul(a, b):
+        acc = [0] * d
+        for bj, row in zip(digits[b], shifts(a)):
+            if bj:
+                acc = [s + bj * c for s, c in zip(acc, row)]
+        return code(acc)
+
+    return add, mul
+
+
+@pytest.mark.parametrize("q", [16, 25, 27, 32, 49, 64, 81, 125, 128])
+def test_arithmetic_matches_schoolbook_on_every_pair(q):
+    f = make_field(q)
+    add, mul = _schoolbook(f)
+    for a in range(q):
+        for b in range(q):
+            assert f.add(a, b) == add(a, b) and f.mul(a, b) == mul(a, b), (a, b)
+
+
+@pytest.mark.parametrize("q", [243, 256, 512, 2187, 4096])
+def test_arithmetic_matches_schoolbook_on_sampled_pairs(q):
+    f = make_field(q)
+    add, mul = _schoolbook(f)
+    rng = random.Random(q)
+    for _ in range(2000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert f.add(a, b) == add(a, b) and f.mul(a, b) == mul(a, b), (a, b)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64])
 def test_unit_group_is_cyclic(q):
     f = make_field(q)
-    gen = element_of_order(f, q - 1)
-    assert f.element_order(gen) == q - 1
+    orders = {}
     for a in range(1, q):
-        assert (q - 1) % f.element_order(a) == 0
+        x, k = a, 1
+        while x != 1:
+            x, k = f.mul(x, a), k + 1
+        orders[a] = k
+        assert f.element_order(a) == k
+    assert max(orders.values()) == q - 1
+    assert orders[element_of_order(f, q - 1)] == q - 1
 
 
 def test_element_of_order_requires_divisor():
@@ -77,3 +140,30 @@ def test_psl34():
     s = order_sequence(g)
     assert str(s) == "1:1,2:315,3:2240,4:3780,5:8064,7:5760"
     assert g.exponent() == 420
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "pdq, digest",
+    [
+        ((2, 2, 3), "69950789a5804803"),
+        ((3, 1, 2), "1589ddeeef95c4e5"),
+        ((5, 1, 4), "249767384856b5b1"),
+        ((7, 1, 3), "ec0bc64a1585deb2"),
+        ((2, 3, 7), "6caa59c63d83e1c2"),
+        ((3, 2, 8), "cc767fdd81e48976"),
+    ],
+)
+def test_affine_tables_are_pinned(pdq, digest):
+    # field codes feed every Aff element number and so every graph output
+    g = affine_frobenius_group(*pdq)
+    assert _digest(",".join(str(g.mul(a, b)) for a in range(g.size) for b in range(g.size))) == digest
+
+
+def test_psl34_generators_are_pinned():
+    # the closure lists the six transvections first, after the identity
+    perms = psl_3_4().perms[1:7]
+    assert _digest(";".join(",".join(map(str, perm)) for perm in perms)) == "1260eee8ad075603"

@@ -1,10 +1,7 @@
-import math
-
 import pytest
 
 from ordseq.errors import PreconditionError
 from ordseq.numth import (
-    divisors,
     euler_phi,
     factorize,
     is_power_of,
@@ -46,13 +43,6 @@ def test_factorize_reconstructs():
         assert prod == n
 
 
-def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert len(divisors(60)) == 12
-    assert divisors(97) == [1, 97]
-
-
 def test_prime_divisors():
     assert prime_divisors(1) == ()
     assert prime_divisors(60) == (2, 3, 5)
@@ -66,7 +56,7 @@ def test_euler_phi_values(n, value):
 
 def test_euler_phi_divisor_sum():
     for n in range(1, 61):
-        assert sum(euler_phi(d) for d in divisors(n)) == n
+        assert sum(euler_phi(d) for d in range(1, n + 1) if n % d == 0) == n
 
 
 def test_is_power_of():
