@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import catalog
@@ -329,7 +330,16 @@ def _main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(_main(sys.argv[1:]))
+    try:
+        code = _main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # flush at interpreter exit does not raise again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Graphs attached to groups and a canonical form for isomorphism.
 
 Graphs are small and labelled; the canonical form of an undirected graph
-ignores the labels and comes from color refinement with individualization,
-pruning vertices that are interchangeable twins.
+ignores the labels.  It first contracts twins (vertices with the same open
+or the same closed neighbourhood) into labelled vertices, then runs color
+refinement with individualization on what is left.
 """
 
 from __future__ import annotations
@@ -113,41 +114,60 @@ def _refine(n: int, nbrs, colors):
         colors = new
 
 
-def _twin_classes(cell, nbrs):
-    """Group cell vertices that have identical neighborhoods off each other."""
-    reps = []
-    for v in cell:
-        for rep_list in reps:
-            u = rep_list[0]
-            if nbrs[u] - {v} == nbrs[v] - {u}:
-                rep_list.append(v)
-                break
-        else:
-            reps.append([v])
-    return [r[0] for r in reps]
+def _contract_twins(nbrs):
+    """Contract twin classes, round by round, until no twins remain.
+
+    Returns the surviving vertices' neighbour sets, renumbered 0..m-1,
+    and their labels.  A label names the induced subgraph its vertex
+    stands for: "v" for one vertex, c(...) for a clique of closed twins
+    and o(...) for an independent set of open twins, over the sorted
+    labels of the members.  No vertex has both a closed and an open twin,
+    so the classes of one round are disjoint modules and can all be
+    contracted at once, each into its lowest vertex.
+    """
+    nbrs = {v: set(ns) for v, ns in enumerate(nbrs)}
+    labels = {v: "v" for v in nbrs}
+    while True:
+        classes: dict = {}
+        for v, ns in nbrs.items():
+            classes.setdefault(("o", frozenset(ns)), []).append(v)
+            classes.setdefault(("c", frozenset(ns | {v})), []).append(v)
+        removed = set()
+        for (kind, _), members in classes.items():
+            if len(members) > 1:
+                labels[members[0]] = f"{kind}({','.join(sorted(labels[v] for v in members))})"
+                removed.update(members[1:])
+        if not removed:
+            break
+        for v in removed:
+            del nbrs[v], labels[v]
+        for ns in nbrs.values():
+            ns -= removed
+    index = {v: i for i, v in enumerate(nbrs)}
+    return [{index[u] for u in ns} for ns in nbrs.values()], list(labels.values())
 
 
 def canonical_form(graph: LabeledGraph) -> str:
     """A string form of an undirected graph, equal exactly for isomorphic
     graphs; labels are ignored and the size is capped."""
-    n = graph.n
     if graph.directed:
         raise PreconditionError("canonical forms are defined for undirected graphs")
-    if n > CANONICAL_LIMIT:
+    if graph.n > CANONICAL_LIMIT:
         raise SizeLimitError(f"canonical forms are capped at {CANONICAL_LIMIT} vertices")
-    nbrs = _neighbours(graph)
+    nbrs, labels = _contract_twins(_neighbours(graph))
+    n = len(nbrs)
     best: list = [None]
 
     def leaf_form(colors):
         pos = sorted(range(n), key=lambda v: colors[v])
         where = {v: i for i, v in enumerate(pos)}
-        bits = []
+        rows = []
         for v in pos:
             row = ["0"] * n
             for u in nbrs[v]:
                 row[where[u]] = "1"
-            bits.append("".join(row))
-        return "|".join(bits)
+            rows.append(f"{labels[v]}:{''.join(row)}")
+        return "|".join(rows)
 
     def rec(colors):
         colors = _refine(n, nbrs, colors)
@@ -162,11 +182,12 @@ def canonical_form(graph: LabeledGraph) -> str:
             if best[0] is None or form < best[0]:
                 best[0] = form
             return
-        cell = [v for v in range(n) if colors[v] == target]
-        for v in _twin_classes(cell, nbrs):
-            child = list(colors)
-            child[v] = n + 1
-            rec(child)
+        for v in range(n):
+            if colors[v] == target:
+                child = list(colors)
+                child[v] = n + 1
+                rec(child)
 
-    rec([0] * n)
+    rank = {s: i for i, s in enumerate(sorted(set(labels)))}
+    rec([rank[s] for s in labels])
     return best[0]

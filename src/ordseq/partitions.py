@@ -47,6 +47,11 @@ def majorizes(a, b) -> bool:
     a, b = partition(a), partition(b)
     if sum(a) != sum(b):
         raise SizeMismatch(f"partitions have sizes {sum(a)} and {sum(b)}")
+    return _majorizes(a, b)
+
+
+def _majorizes(a, b) -> bool:
+    """majorizes for partitions already known to be valid and of one size."""
     return all(x >= y for x, y in zip_longest(accumulate(a), accumulate(b), fillvalue=sum(a)))
 
 

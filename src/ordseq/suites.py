@@ -24,11 +24,11 @@ from .graphs import canonical_form, power_graph
 from .groups import DicyclicGroup, FiniteGroup, abelian, alternating, cyclic, direct_product
 from .numth import euler_phi, is_prime, prime_divisors
 from .partitions import (
+    _majorizes,
     abelian_order_sequence,
     box_move_chain,
     conjugate,
     cyclic_subgroup_counts,
-    majorizes,
     partitions_of,
 )
 from .posets import build_poset, extremes
@@ -303,8 +303,9 @@ def suite_partition(n: int, p: int) -> SuiteReport:
         for mu in parts:
             rep.cases += 1
             dom = dominates(seqs[lam], seqs[mu])
-            maj = majorizes(lam, mu)
-            conj = majorizes(conjs[mu], conjs[lam])
+            # partitions_of and conjugate return valid partitions of n
+            maj = _majorizes(lam, mu)
+            conj = _majorizes(conjs[mu], conjs[lam])
             rep.require(
                 dom == maj == conj,
                 f"{lam} vs {mu}: domination {dom}, majorization {maj}, conjugate {conj}",

@@ -15,6 +15,7 @@ from ordseq.catalog import (
     supported_orders,
 )
 from ordseq.errors import PreconditionError, UnsupportedOrderError
+from ordseq.numth import factorize
 from ordseq.sequences import order_sequence
 
 
@@ -24,6 +25,43 @@ def test_known_counts_table():
         11: 1, 12: 5, 13: 1, 14: 2, 15: 1, 16: 14, 20: 5, 21: 2, 60: 13,
     }
     assert supported_orders() == tuple(sorted(KNOWN_GROUP_COUNTS))
+
+
+def _groups_of_order_by_formula(n):
+    """The number of groups of order n where a closed formula gives it, else None.
+
+    p**2 and p**3 give 2 and 5.  For squarefree n (1 and the primes
+    included) Hoelder's formula counts sum over d | n of the product over
+    primes p | d of (p**c(p) - 1) / (p - 1), where c(p) is the number of
+    primes q | n/d with q = 1 mod p.
+    """
+    factors = factorize(n)
+    if len(factors) == 1 and factors[0][1] in (2, 3):
+        return {2: 2, 3: 5}[factors[0][1]]
+    if any(e > 1 for _, e in factors):
+        return None
+    primes = [p for p, _ in factors]
+    total = 0
+    for mask in range(1 << len(primes)):
+        chosen = [p for i, p in enumerate(primes) if mask >> i & 1]
+        rest = [q for q in primes if q not in chosen]
+        term = 1
+        for p in chosen:
+            c = sum(1 for q in rest if q % p == 1)
+            term *= (p**c - 1) // (p - 1)
+        total += term
+    return total
+
+
+def test_known_counts_agree_with_formulas():
+    derived = {n: _groups_of_order_by_formula(n) for n in KNOWN_GROUP_COUNTS}
+    # 12, 16, 20 and 60 have no such formula and stay cited constants
+    assert sorted(n for n, count in derived.items() if count is None) == [12, 16, 20, 60]
+    for n, count in derived.items():
+        assert count in (None, KNOWN_GROUP_COUNTS[n]), n
+    # Hoelder's formula beyond the table: 30 and 42 have 4 and 6 groups
+    assert _groups_of_order_by_formula(30) == 4
+    assert _groups_of_order_by_formula(42) == 6
 
 
 @pytest.mark.parametrize("n", sorted(KNOWN_GROUP_COUNTS))

@@ -294,15 +294,38 @@ def test_global_flags_follow_the_subcommand():
     assert exc.value.code == 2
 
 
-def test_module_entry_point():
+def _child_env():
     # the child imports the same ordseq as this process, installed or not
     here = str(Path(ordseq.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ordseq.cli", "os", "C6"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("1:1,2:1,3:2,6:2")
+
+
+@pytest.mark.parametrize("argv", [["partition", "40", "--json"], ["partition", "40"]])
+def test_reader_closing_the_pipe_early_exits_quietly(argv):
+    # the listing is far larger than a pipe buffer, so the child is still
+    # writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ordseq.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert len(head) == 10
+    assert err == b""

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from ordseq.catalog import group_by_name
+from ordseq.catalog import catalog, group_by_name, supported_orders
 from ordseq.errors import PreconditionError, SizeLimitError
 from ordseq.graphs import (
     LabeledGraph,
@@ -111,6 +111,89 @@ def test_order16_power_graph_coincidences():
     assert canonical_form(pg("C4xC4")) != canonical_form(pg("Q8xC2"))
 
 
+def test_power_graph_classes_are_pinned_below_order_60():
+    # recorded before forms contracted twins: at every catalog order
+    # below 60, 49 groups fall into 47 classes
+    groups = classes = 0
+    shared = []
+    for n in supported_orders():
+        if n >= 60:
+            continue
+        forms = {}
+        for name, g in catalog(n):
+            forms.setdefault(canonical_form(power_graph(g)), []).append(name)
+            groups += 1
+        classes += len(forms)
+        shared += sorted(sorted(names) for names in forms.values() if len(names) > 1)
+    assert (groups, classes) == (49, 47)
+    assert shared == [["C4xC2xC2", "D8*C4"], ["C8xC2", "M16"]]
+
+
+@pytest.mark.parametrize("n", [16, 20, 21])
+def test_power_graph_forms_survive_relabelling(n):
+    rng = random.Random(n)
+    for _, g in catalog(n):
+        base = power_graph(g)
+        form = canonical_form(base)
+        for _ in range(4):
+            assert canonical_form(_shuffled(base, rng)) == form
+
+
+def _graph(n, edges):
+    return LabeledGraph(n, ("",) * n, frozenset((min(a, b), max(a, b)) for a, b in edges))
+
+
+def _blow_up(n, edges, blown, closed):
+    """Replace each vertex in blown by a pair of twins: adjacent when closed."""
+    out, extra = set(edges), n
+    for v in blown:
+        out |= {(extra, u) for a, b in list(out) if v in (a, b) for u in (a, b) if u != v}
+        if closed:
+            out.add((v, extra))
+        extra += 1
+    return _graph(extra, out)
+
+
+def _classes_agree_with_brute_force(graphs):
+    forms = {}
+    oracle = {}
+    for g in graphs:
+        forms.setdefault(canonical_form(g), set()).add(g)
+        oracle.setdefault(tuple(_brute_force_form(g.n, g.edges)), set()).add(g)
+    return set(map(frozenset, forms.values())) == set(map(frozenset, oracle.values()))
+
+
+def test_closed_twins_are_told_from_open_twins():
+    path = _graph(3, [(0, 1), (1, 2)])  # ends are open twins: o(v,v), then closed
+    edge_and_point = _graph(3, [(0, 1)])  # the edge is closed twins: c(v,v), then open
+    triangle = _graph(3, [(0, 1), (1, 2), (0, 2)])
+    empty = _graph(3, [])
+    forms = [canonical_form(g) for g in (path, edge_and_point, triangle, empty)]
+    assert len(set(forms)) == 4
+    # a star and a complete bipartite graph differ only in how twins nest
+    star = _graph(4, [(0, 1), (0, 2), (0, 3)])
+    k22 = _graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    paw = _graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    assert _classes_agree_with_brute_force([path, edge_and_point, triangle, empty, star, k22, paw])
+
+
+def test_refinement_runs_after_contraction():
+    # twin-free C5 with some vertices blown up into twin pairs: what is
+    # left after contraction is C5 with labelled vertices, which only
+    # refinement and individualization place
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    graphs = [
+        _blow_up(5, c5, blown, closed)
+        for blown in ([0], [3], [0, 1], [2, 3], [0, 2], [1, 4])
+        for closed in (True, False)
+    ]
+    graphs.append(_graph(5, c5))
+    forms = {canonical_form(g) for g in graphs}
+    # C5 itself, and for each kind of twin: one blown vertex, two adjacent, two apart
+    assert len(forms) == 7
+    assert _classes_agree_with_brute_force(graphs)
+
+
 def _all_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
@@ -137,6 +220,22 @@ def test_canonical_form_matches_brute_force_on_small_graphs():
     assert len(oracle) == 52
     # equal forms exactly when the brute-force forms are equal
     assert set(map(frozenset, forms.values())) == set(map(frozenset, oracle.values()))
+
+
+def test_canonical_form_is_exact_on_six_vertices_with_seven_edges():
+    pairs = list(itertools.combinations(range(6), 2))
+    graphs = [frozenset(c) for c in itertools.combinations(pairs, 7)]
+    assert len(graphs) == 6435
+    forms = {edges: canonical_form(LabeledGraph(6, ("",) * 6, edges)) for edges in graphs}
+    # (0 1) and (0 1 2 3 4 5) generate S6, so forms closed under both are
+    # constant on every isomorphism class ...
+    for perm in ((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)):
+        for edges, form in forms.items():
+            image = frozenset((min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges)
+            assert forms[image] == form
+    # ... and 24 distinct forms over the 24 classes (OEIS A008406) tell
+    # every class apart
+    assert len(set(forms.values())) == 24
 
 
 def test_canonical_form_ignores_labels_and_rejects_directed():
