@@ -7,7 +7,6 @@ Dic<k> names the dicyclic group of order k when 4 | k and of order 4k
 otherwise, so Dic3 and Dic12 are the same group.
 """
 
-import math
 import re
 
 from .catalog import frobenius20, frobenius21, group_by_name, modular16, semidihedral16
@@ -44,11 +43,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _number(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's limit on digits
+        raise ParseError(f"number at position {pos} has too many digits") from None
+
+
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, cap: int | None):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.cap = cap
+
+    def size(self, factors) -> int:
+        """The product of the factors, or cap + 1 as soon as it passes the cap."""
+        out = 1
+        for f in factors:
+            out *= f
+            if self.cap is not None and out > self.cap:
+                return self.cap + 1
+        return out
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -69,7 +85,7 @@ class _Parser:
         kind, text, pos = self.take()
         if kind != "num":
             raise ParseError(f"expected a number but found {text!r} at position {pos}")
-        return int(text)
+        return _number(text, pos)
 
     def raw_arg(self, pos: int) -> str:
         """The rest of a Cat(...) call, taken verbatim up to the balancing ')'."""
@@ -106,7 +122,7 @@ def _atom(parser: _Parser):
     def suffix() -> int:
         if not tail:
             raise ParseError(f"{head!r} needs a numeric suffix at position {pos}")
-        return int(tail)
+        return _number(tail, pos + len(head))
 
     if head == "C":
         n = suffix()
@@ -128,10 +144,10 @@ def _atom(parser: _Parser):
         return 16, lambda: DicyclicGroup(16, "Q16")
     if head == "S" and tail:
         m = suffix()
-        return math.factorial(m), lambda: symmetric(m)
+        return parser.size(range(2, m + 1)), lambda: symmetric(m)
     if head == "A" and tail:
         m = suffix()
-        return max(1, math.factorial(m) // 2), lambda: alternating(m)
+        return parser.size(range(3, m + 1)), lambda: alternating(m)
     if text == "M16":
         return 16, modular16
     if text == "SD16":
@@ -151,7 +167,7 @@ def _atom(parser: _Parser):
         parser.expect(")")
         if any(m < 1 for m in moduli):
             raise ParseError(f"Ab at position {pos} needs positive moduli")
-        return math.prod(moduli), lambda: abelian(moduli)
+        return parser.size(moduli), lambda: abelian(moduli)
     if head == "Heis" and not tail:
         parser.expect("(")
         p = parser.int_arg()
@@ -165,7 +181,9 @@ def _atom(parser: _Parser):
         parser.expect(",")
         q = parser.int_arg()
         parser.expect(")")
-        return p**d * q, lambda: affine_frobenius_group(p, d, q)
+        # once 2**d passes the cap, a larger exponent changes no verdict
+        e = d if parser.cap is None else min(d, parser.cap.bit_length() + 1)
+        return parser.size((p**e, q)), lambda: affine_frobenius_group(p, d, q)
     if head == "Cat" and not tail:
         parser.expect("(")
         n = parser.int_arg()
@@ -196,8 +214,12 @@ def _expr(parser: _Parser):
 
 
 def parse_group(text: str, max_size: int | None = None) -> FiniteGroup:
-    """Parse a group expression, refusing to build past the size cap."""
-    parser = _Parser(text)
+    """Parse a group expression, refusing to build past the size cap.
+
+    A number too long for int() is a ParseError.  Sizes stop being worked
+    out once they pass the cap, so S1000000 is refused at once.
+    """
+    parser = _Parser(text, max_size)
     if parser.peek() is None:
         raise ParseError("empty expression")
     size, build = _expr(parser)
@@ -205,5 +227,5 @@ def parse_group(text: str, max_size: int | None = None) -> FiniteGroup:
         _, tok, pos = parser.peek()
         raise ParseError(f"trailing input {tok!r} at position {pos}")
     if max_size is not None and size > max_size:
-        raise SizeLimitError(f"group of order {size} exceeds the cap of {max_size}")
+        raise SizeLimitError(f"group order exceeds the cap of {max_size}")
     return build()

@@ -146,7 +146,7 @@ def box_move_chain(b, c) -> list[tuple[int, ...]]:
     b, c = partition(b), partition(c)
     if sum(b) != sum(c):
         raise SizeMismatch(f"partitions have sizes {sum(b)} and {sum(c)}")
-    if not majorizes(b, c):
+    if not _majorizes(b, c):
         raise NotMajorized(f"{b} does not majorize {c}")
     if b == c:
         return []

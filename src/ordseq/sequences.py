@@ -4,7 +4,9 @@ The order sequence of a group collects the orders of its elements as a
 multiset.  One sequence dominates another of the same length when, for
 every threshold, it has at most as many elements of order up to that
 threshold; it strongly dominates when the elements can be matched so
-that orders divide orders.
+that orders divide orders.  Strong domination is decided by an
+augmenting-path search over pairs of orders, which returns either a
+transport plan or a Hall certificate.
 """
 
 from __future__ import annotations
@@ -144,81 +146,71 @@ def strong_domination(a: OrderSequence, b: OrderSequence):
 
     Feasible means there is a bijection sending each element counted by b
     to one counted by a whose order it divides.  Returns (True, plan) with
-    plan rows (a_order, b_order, amount), or (False, HallCertificate).
-    The plan is one valid transport among possibly many.  The certificate
-    is not a choice: its a-orders are those reachable from the source in
-    the residual graph, a set that every maximum flow leaves the same.
+    plan rows (a_order, b_order, amount) sorted, or (False, HallCertificate).
+
+    Equal orders are matched first.  Then a breadth-first search runs from
+    the a-orders with elements left: an a-order reaches each b-order
+    dividing it, and a b-order with none left leads on to the a-orders it
+    is matched with, since those matches can move.  Reaching a b-order
+    with elements left moves one amount along the path.  The plan is one
+    valid transport among possibly many.  The certificate is not a choice:
+    the a-orders a failed search reaches are the unique smallest set with
+    the largest shortfall, whatever matching was found.
     """
     if a.total != b.total:
         raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
-    a_orders = [d for d, _ in a.pairs]
-    b_orders = [d for d, _ in b.pairs]
-    # transportation network: source -> a-order -> compatible b-order -> sink;
-    # node 0 is the source, 1 the sink, then a-orders, then b-orders.
-    # Edge i runs to head[i] with residual cap[i]; edge i ^ 1 is its reverse.
-    source, sink = 0, 1
-    a_node = {d: 2 + i for i, d in enumerate(a_orders)}
-    b_node = {e: 2 + len(a_orders) + i for i, e in enumerate(b_orders)}
-    head: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(2 + len(a_orders) + len(b_orders))]
-
-    def add_edge(u, v, c):
-        adj[u].append(len(head))
-        head.append(v)
-        cap.append(c)
-        adj[v].append(len(head))
-        head.append(u)
-        cap.append(0)
-        return len(head) - 2
-
-    supply = {d: add_edge(source, a_node[d], m) for d, m in a.pairs}
-    demand = {e: add_edge(b_node[e], sink, m) for e, m in b.pairs}
-    links = [  # (a_order, b_order, edge)
-        (d, e, add_edge(a_node[d], b_node[e], a.total)) for d in a_orders for e in b_orders if d % e == 0
-    ]
-
-    def push(path, amount):
-        for i in path:
-            cap[i] -= amount
-            cap[i ^ 1] += amount
-
-    # saturate same-order links first; augmenting paths finish the flow
-    flow = 0
-    for d, e, i in links:
-        if d == e:
-            amount = min(cap[supply[d]], cap[demand[e]])
-            push((supply[d], i, demand[e]), amount)
-            flow += amount
-    while flow < a.total:
-        via = [-1] * len(adj)  # edge that first reached each node
-        via[source] = -2
-        queue = [source]
-        for u in queue:
-            for i in adj[u]:
-                v = head[i]
-                if via[v] == -1 and cap[i] > 0:
-                    via[v] = i
-                    queue.append(v)
-            if via[sink] != -1:
+    spare = dict(a.pairs)  # a-elements of each order not matched yet
+    short = dict(b.pairs)  # b-elements of each order not matched yet
+    sent = {e: {} for e in short}  # sent[e][d]: matches of b-order e to a-order d
+    targets = {d: [e for e in short if d % e == 0] for d in spare}
+    for d in spare:
+        if d in short:
+            amount = min(spare[d], short[d])
+            spare[d] -= amount
+            short[d] -= amount
+            sent[d][d] = amount
+    while True:
+        queue = [d for d, m in spare.items() if m]
+        if not queue:
+            return True, sorted((d, e, n) for e, row in sent.items() for d, n in row.items() if n)
+        via_a = dict.fromkeys(queue)  # a-order -> b-order it was reached from
+        via_b = {}  # b-order -> a-order it was reached from
+        end = None
+        for d in queue:
+            for e in targets[d]:
+                if e in via_b:
+                    continue
+                via_b[e] = d
+                if short[e]:
+                    end = e
+                    break
+                for d2, n in sent[e].items():
+                    if n and d2 not in via_a:
+                        via_a[d2] = e
+                        queue.append(d2)
+            if end is not None:
                 break
-        if via[sink] == -1:
+        if end is None:
             break
-        path = []
-        v = sink
-        while v != source:
-            path.append(via[v])
-            v = head[via[v] ^ 1]
-        amount = min(cap[i] for i in path)
-        push(path, amount)
-        flow += amount
+        gain, lose = [], []  # pairs on the path whose matches grow or shrink
+        e = end
+        while e is not None:
+            root = via_b[e]
+            gain.append((root, e))
+            e = via_a[root]
+            if e is not None:
+                lose.append((root, e))
+        amount = min([spare[root], short[end]] + [sent[e][d] for d, e in lose])
+        spare[root] -= amount
+        short[end] -= amount
+        for d, e in gain:
+            sent[e][d] = sent[e].get(d, 0) + amount
+        for d, e in lose:
+            sent[e][d] -= amount
 
-    if flow == a.total:
-        return True, [(d, e, cap[i ^ 1]) for d, e, i in links if cap[i ^ 1] > 0]
-
-    # the last search reached exactly the residual source side: a Hall violation
-    stuck_a = tuple(d for d in a_orders if via[a_node[d]] != -1)
-    covered_b = tuple(e for e in b_orders if any(d % e == 0 for d in stuck_a))
+    # the failed search reached exactly the a-orders of a Hall violation
+    stuck_a = tuple(d for d, _ in a.pairs if d in via_a)
+    covered_b = tuple(e for e, _ in b.pairs if any(d % e == 0 for d in stuck_a))
     need = sum(a.multiplicity(d) for d in stuck_a)
     have = sum(b.multiplicity(e) for e in covered_b)
     if need <= have:

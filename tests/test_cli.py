@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ordseq
 from ordseq.cli import _format_rho, _main
+
+STRETCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "stretch.json"
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +71,37 @@ def test_os_json_leaves_int_str_limit_alone(capsys, default_int_str_limit):
     assert sys.get_int_max_str_digits() == default_int_str_limit
     assert code == 0
     assert len(json.loads(out)["rho"]) == 15849
+
+
+_HUGE = "9" * 5000  # past the default limit of 4,300 digits for int()
+
+
+@pytest.mark.parametrize(
+    "expr,code",
+    [
+        ("S2000", 3),
+        ("A1700", 3),
+        ("Aff(2,15000,3)", 3),
+        ("S1000000", 3),
+        pytest.param(f"C{_HUGE}", 2, id="C-5000-digits"),
+        pytest.param(f"Ab(2,{_HUGE})", 2, id="Ab-5000-digits"),
+        pytest.param(f"Heis({_HUGE})", 2, id="Heis-5000-digits"),
+    ],
+)
+def test_big_numbers_in_expressions_exit_cleanly(capsys, default_int_str_limit, expr, code):
+    # a size past the cap is refused without being worked out in full
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, "os", expr)
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_compare_stretch_pair_matches_reference(capsys):
+    code, out, _ = run_cli(capsys, "compare", "A8", "PSL34", "--json")
+    assert code == 0
+    assert json.loads(out) == json.loads(STRETCH_REFERENCE.read_text())["output"]
 
 
 def test_compare_strong(capsys):

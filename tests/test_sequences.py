@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -219,6 +220,48 @@ def test_strong_implies_domination():
                 ok, _ = strong_domination(a, b)
                 if ok:
                     assert dominates(a, b)
+
+
+def _largest_shortfall(a: dict, b: dict):
+    """Brute force over every set S of a-orders: the largest shortfall,
+    a's multiplicity on S minus b's on the divisors of S, and the sets
+    that reach it."""
+    best, best_sets = 0, []
+    orders = sorted(a)
+    for k in range(len(orders) + 1):
+        for s in itertools.combinations(orders, k):
+            need = sum(a[d] for d in s)
+            have = sum(m for e, m in b.items() if any(d % e == 0 for d in s))
+            if need - have > best:
+                best, best_sets = need - have, []
+            if need - have == best:
+                best_sets.append(s)
+    return best, best_sets
+
+
+def test_hall_certificate_is_the_smallest_set_of_largest_shortfall():
+    # the answer depends on the sequences alone, not on the matching found
+    rng = random.Random(24)
+    divisors = [d for d in range(1, 25) if 24 % d == 0]
+    infeasible = 0
+    for _ in range(3000):
+        total = rng.randint(1, 30)
+        a, b = (
+            OrderSequence(Counter(rng.choices(rng.sample(divisors, rng.randint(1, 8)), k=total)))
+            for _ in range(2)
+        )
+        ok, evidence = strong_domination(a, b)
+        best, best_sets = _largest_shortfall(dict(a.pairs), dict(b.pairs))
+        assert ok == (best == 0), (a, b)
+        if ok:
+            assert _transport_violation(a, b, evidence) is None, (a, b)
+            continue
+        infeasible += 1
+        smallest = min(len(s) for s in best_sets)
+        assert [s for s in best_sets if len(s) == smallest] == [evidence.a_orders], (a, b)
+        assert evidence.need - evidence.have == best
+        assert _hall_violation(a, b, evidence) is None, (a, b)
+    assert infeasible > 1000
 
 
 def _random_catalog_group(rng, max_order=21):
