@@ -8,7 +8,7 @@ UnsupportedOrderError.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 from .errors import PreconditionError, UnsupportedOrderError
@@ -18,6 +18,7 @@ from .groups import (
     FiniteGroup,
     SemidirectProductGroup,
     abelian,
+    abelian_name,
     alternating,
     cyclic,
     dihedral,
@@ -27,6 +28,8 @@ from .groups import (
     symmetric,
 )
 from .numth import factorize
+from .partitions import abelian_order_sequence, partitions_of
+from .sequences import OrderSequence, order_sequence, seq_join
 
 KNOWN_GROUP_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2,
@@ -173,46 +176,86 @@ def group_by_name(n: int, name: str) -> FiniteGroup:
     raise UnsupportedOrderError(f"order {n} has no catalog entry named {name}")
 
 
-def _p_group_list(p: int, a: int) -> list[FiniteGroup]:
+def _sylow_factors(p: int, a: int) -> list:
+    """Each group of order p**a as (name, order sequence, build), in listing order."""
     if a == 1:
-        return [cyclic(p)]
+        return [(f"C{p}", abelian_order_sequence(p, (1,)), lambda: cyclic(p))]
     if a == 2:
-        return [cyclic(p * p), abelian([p, p])]
+        return [
+            (f"C{p * p}", abelian_order_sequence(p, (2,)), lambda: cyclic(p * p)),
+            (abelian_name((p, p)), abelian_order_sequence(p, (1, 1)), lambda: abelian([p, p])),
+        ]
     if p == 2 and a in (3, 4):
-        return [g for _, g in catalog(2**a)]
+        return [(name, order_sequence(g), lambda g=g: g) for name, g in catalog(2**a)]
     raise UnsupportedOrderError(f"no complete p-group list for {p}**{a}")
+
+
+def _joined(seqs) -> OrderSequence:
+    """The sequence of a direct product from its factors' sequences; C1's for none."""
+    return reduce(seq_join, seqs, OrderSequence({1: 1}))
+
+
+def _nilpotent_types(n: int):
+    """One tuple of Sylow factors, one factor per prime, for each nilpotent group of order n."""
+    return product(*[_sylow_factors(p, a) for p, a in factorize(n)])
+
+
+def _nilpotent_name(factors) -> str:
+    return "x".join(name for name, _, _ in factors) or "C1"
+
+
+def _nilpotent_build(factors) -> FiniteGroup:
+    groups = [build() for _, _, build in factors]
+    return reduce(direct_product, groups) if groups else cyclic(1)
 
 
 @lru_cache(maxsize=None)
 def nilpotent_groups_of_order(n: int) -> tuple[FiniteGroup, ...]:
     """All nilpotent groups of order n: products of one group per prime."""
-    if n == 1:
-        return (cyclic(1),)
-    layers = [_p_group_list(p, a) for p, a in factorize(n)]
-    out = []
-    for combo in product(*layers):
-        g = combo[0]
-        for extra in combo[1:]:
-            g = direct_product(g, extra)
-        out.append(g)
-    return tuple(out)
+    return tuple(_nilpotent_build(factors) for factors in _nilpotent_types(n))
+
+
+def nilpotent_sequences_of_order(n: int) -> tuple[tuple[str, OrderSequence], ...]:
+    """(name, order sequence) of each group of nilpotent_groups_of_order(n), in its order.
+
+    A nilpotent group is the direct product of its Sylow subgroups, so its
+    sequence is the lcm-join of theirs; no product is built.
+    """
+    return tuple((_nilpotent_name(factors), _joined(s for _, s, _ in factors)) for factors in _nilpotent_types(n))
+
+
+def nilpotent_group(n: int, name: str) -> FiniteGroup:
+    """The group of nilpotent_groups_of_order(n) with this name, built on its own."""
+    for factors in _nilpotent_types(n):
+        if _nilpotent_name(factors) == name:
+            return _nilpotent_build(factors)
+    raise UnsupportedOrderError(f"order {n} has no nilpotent group named {name}")
+
+
+def _abelian_types(n: int):
+    """(moduli, ((p, partition), ...)) for each abelian group of order n, in listing order."""
+    for combo in product(*[[(p, shape) for shape in partitions_of(a)] for p, a in factorize(n)]):
+        yield tuple(p**part for p, shape in combo for part in shape), combo
 
 
 @lru_cache(maxsize=None)
 def abelian_groups_of_order(n: int) -> tuple[FiniteGroup, ...]:
     """All abelian groups of order n via partitions of each prime exponent."""
-    from .partitions import partitions_of
-
     if n == 1:
         return (cyclic(1),)
-    per_prime = []
-    for p, a in factorize(n):
-        per_prime.append([tuple(p**part for part in shape) for shape in partitions_of(a)])
-    out = []
-    for combo in product(*per_prime):
-        moduli = [m for shape in combo for m in shape]
-        out.append(abelian(moduli))
-    return tuple(out)
+    return tuple(abelian(moduli) for moduli, _ in _abelian_types(n))
+
+
+def abelian_sequences_of_order(n: int) -> tuple[tuple[str, OrderSequence], ...]:
+    """(name, order sequence) of each group of abelian_groups_of_order(n), in its order.
+
+    Each Sylow subgroup's sequence is the closed form of its partition and
+    the group's is their lcm-join; no group is built.
+    """
+    return tuple(
+        (abelian_name(moduli), _joined(abelian_order_sequence(p, shape) for p, shape in combo))
+        for moduli, combo in _abelian_types(n)
+    )
 
 
 def elementary_product(n: int) -> FiniteGroup:

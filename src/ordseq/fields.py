@@ -58,7 +58,7 @@ class FiniteField:
         if not is_prime(p) or d < 1:
             raise PreconditionError("field order must be a prime power")
         if p**d > FIELD_SIZE_LIMIT:
-            raise SizeLimitError(f"field order {p**d} exceeds the cap {FIELD_SIZE_LIMIT}")
+            raise SizeLimitError(f"field order exceeds the cap of {FIELD_SIZE_LIMIT}")
         self.p = p
         self.d = d
         self.order = p**d

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 
 from .errors import (
@@ -30,12 +30,15 @@ _SPOT_SAMPLES = 1000
 _EXHAUSTIVE_PAIRS = 256
 
 
-def _seeded_draws(seed: int, n: int, count: int) -> list[int]:
-    """Draw for draw, the list [random.Random(seed).randrange(n) for _ in range(count)].
+@lru_cache(maxsize=None)
+def _seeded_draws(seed: int, n: int, count: int) -> tuple[int, ...]:
+    """Draw for draw, the values random.Random(seed).randrange(n) gives count times.
 
     randrange(n) rejects getrandbits(n.bit_length()) until the value is
     below n; calling getrandbits directly skips the per-draw argument
-    handling, which dominated the cost of the axiom spot-checks.
+    handling, which dominated the cost of the axiom spot-checks.  Every
+    group of one size checks its axioms on the same draws, so each
+    (seed, n, count) is drawn once per process.
     """
     bits = random.Random(seed).getrandbits
     k = n.bit_length()
@@ -44,7 +47,7 @@ def _seeded_draws(seed: int, n: int, count: int) -> list[int]:
         r = bits(k)
         if r < n:
             out.append(r)
-    return out
+    return tuple(out)
 
 
 class FiniteGroup:
@@ -56,7 +59,7 @@ class FiniteGroup:
         if size < 1:
             raise PreconditionError("a group needs at least the identity")
         if size > MAX_GROUP_SIZE:
-            raise SizeLimitError(f"group size {size} exceeds the cap {MAX_GROUP_SIZE}")
+            raise SizeLimitError(f"group order exceeds the cap of {MAX_GROUP_SIZE}")
         self.size = size
         self.name = name
         self._orders: tuple[int, ...] | None = None
@@ -326,8 +329,7 @@ class AbelianGroup(FiniteGroup):
         moduli = tuple(int(m) for m in moduli)
         if any(m < 1 for m in moduli):
             raise PreconditionError("moduli must be positive integers")
-        default = "x".join(f"C{m}" for m in moduli) or "C1"
-        super().__init__(math.prod(moduli), name or default)
+        super().__init__(math.prod(moduli), name or abelian_name(moduli))
         self.moduli = moduli
         strides = []
         s = 1
@@ -554,6 +556,11 @@ class TableGroup(FiniteGroup):
 
 def cyclic(n: int) -> CyclicGroup:
     return CyclicGroup(n)
+
+
+def abelian_name(moduli) -> str:
+    """The default name of AbelianGroup(moduli), such as C2xC2; C1 for no moduli."""
+    return "x".join(f"C{m}" for m in moduli) or "C1"
 
 
 def abelian(moduli, name: str | None = None) -> AbelianGroup:

@@ -81,6 +81,11 @@ def order_sequence(group) -> OrderSequence:
     return OrderSequence(counts)
 
 
+def cyclic_order_sequence(n: int) -> OrderSequence:
+    """Order sequence of the cyclic group of order n: phi(d) elements of order d for each d | n."""
+    return OrderSequence((d, euler_phi(d)) for d in range(1, n + 1) if n % d == 0)
+
+
 def psi_k(seq: OrderSequence, k: int) -> int:
     """Sum of the k-th powers of the element orders, exactly."""
     return sum(m * d**k for d, m in seq.pairs)

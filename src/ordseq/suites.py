@@ -8,21 +8,23 @@ comparisons; nothing here touches floating point.
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 
 from .catalog import (
+    abelian_sequences_of_order,
     catalog,
     elementary_product,
     frobenius20,
     frobenius21,
-    nilpotent_groups_of_order,
-    abelian_groups_of_order,
+    nilpotent_group,
+    nilpotent_sequences_of_order,
     supported_orders,
 )
 from .errors import NoWitness, PreconditionError
 from .fields import affine_frobenius_group, psl_3_4
 from .graphs import canonical_form, power_graph
 from .groups import DicyclicGroup, FiniteGroup, abelian, alternating, cyclic, direct_product
-from .numth import euler_phi, is_prime, prime_divisors
+from .numth import euler_phi, factorize, is_prime, prime_divisors
 from .partitions import (
     _majorizes,
     abelian_order_sequence,
@@ -34,10 +36,12 @@ from .partitions import (
 from .posets import build_poset, extremes
 from .sequences import (
     comparable,
+    cyclic_order_sequence,
     dominates,
     order_sequence,
     psi,
     rho,
+    seq_join,
     seq_product,
     strictly_dominates,
     strong_domination,
@@ -120,7 +124,7 @@ def minimal_nonnilpotent_group(n: int) -> FiniteGroup:
 def suite_unique_max(n: int) -> SuiteReport:
     """The cyclic sequence strongly dominates every other, strictly, with strict psi and rho."""
     rep = SuiteReport(f"unique-max[{n}]")
-    top = order_sequence(cyclic(n))
+    top = cyclic_order_sequence(n)
     top_names = []
     for name, g in catalog(n):
         rep.cases += 1
@@ -143,7 +147,7 @@ def suite_gap_bounds(n: int) -> SuiteReport:
         raise PreconditionError("gap bounds need an order greater than 1")
     rep = SuiteReport(f"gap-bounds[{n}]")
     q = prime_divisors(n)[0]
-    top = order_sequence(cyclic(n))
+    top = cyclic_order_sequence(n)
     psi_top, rho_top = psi(top), rho(top)
     gap = n * euler_phi(n) * (q - 1) // q
     scale = q ** euler_phi(n)
@@ -206,17 +210,14 @@ def suite_extension() -> SuiteReport:
 def suite_nilpotent_minimality(n: int) -> SuiteReport:
     """Minimal nilpotent groups have prime-exponent Sylows; the witness group sits properly below them."""
     rep = SuiteReport(f"nilpotent-minimality[{n}]")
-    groups = nilpotent_groups_of_order(n)
-    by_name = {g.name: g for g in groups}
-    poset = build_poset(
-        [(g.name, order_sequence(g)) for g in groups],
-        lambda a, b: dominates(b, a),
-    )
+    items = nilpotent_sequences_of_order(n)
+    poset = build_poset(list(items), lambda a, b: dominates(b, a))
     _, minimal, _ = extremes(poset)
     for cls in minimal:
         for name in cls.split("="):
             rep.cases += 1
-            g = by_name[name]
+            # the Sylow exponents are read off the group's elements
+            g = nilpotent_group(n, name)
             for p in prime_divisors(n):
                 syl = g.subgroup(g.sylow_subgroup(p))
                 rep.require(
@@ -231,15 +232,15 @@ def suite_nilpotent_minimality(n: int) -> SuiteReport:
     hs = order_sequence(h)
     rep.cases += 1
     rep.require(not h.is_nilpotent(), f"{h.name} should not be nilpotent")
-    for g in groups:
+    for name, s in items:
         rep.cases += 1
-        s = order_sequence(g)
         rep.require(
             dominates(s, hs) and s != hs,
-            f"os({g.name}) does not properly dominate os({h.name})",
+            f"os({name}) does not properly dominate os({h.name})",
         )
     rep.cases += 1
-    ok, _ = strong_domination(order_sequence(elementary_product(n)), hs)
+    elementary = reduce(seq_join, (abelian_order_sequence(p, (1,) * a) for p, a in factorize(n)))
+    ok, _ = strong_domination(elementary, hs)
     rep.require(ok, f"the prime-exponent abelian sequence does not strongly dominate os({h.name})")
     return rep
 
@@ -278,7 +279,7 @@ def suite_improved_nilpotent_bound(cases=None) -> SuiteReport:
         lhs = rho(order_sequence(g))
         for p in primes:
             lhs *= p ** (size * (p - 1) // p)
-        rhs = rho(order_sequence(cyclic(size)))
+        rhs = rho(cyclic_order_sequence(size))
         label = f"C{m} x " + " x ".join(pg.name for pg in p_groups)
         rep.require(lhs <= rhs, f"{label}: sharpened rho bound fails")
         elementary = all(pg.size == p * p and pg.exponent() == p for pg, p in zip(p_groups, primes))
@@ -288,6 +289,39 @@ def suite_improved_nilpotent_bound(cases=None) -> SuiteReport:
     return rep
 
 
+@lru_cache(maxsize=None)
+def _partition_facts(n: int):
+    """The half of suite_partition(n, p) that does not depend on p, worked out once per n.
+
+    Returns the partitions of n, their cyclic-subgroup counts (the
+    part_product of cyclic_subgroup_counts, the same for every p) and, per
+    ordered pair (lam, mu), the row (lam, mu, majorization, conjugate
+    majorization, count monotone, chain increasing); the last two are None
+    unless lam majorizes mu and differs from it.  Read-only: the cache
+    hands every caller the same objects.
+    """
+    parts = partitions_of(n)
+    counts = {lam: cyclic_subgroup_counts(2, lam).part_product for lam in parts}
+    conjs = {lam: conjugate(lam) for lam in parts}
+    rows = []
+    for lam in parts:
+        for mu in parts:
+            # partitions_of and conjugate return valid partitions of n
+            maj = _majorizes(lam, mu)
+            conj = _majorizes(conjs[mu], conjs[lam])
+            monotone = steps_ok = None
+            if maj and lam != mu:
+                monotone = counts[lam] <= counts[mu]
+                chain = box_move_chain(lam, mu)
+                # every step is a partition of n (tests/test_partitions.py
+                # checks this), so its part product is already in counts
+                steps_ok = chain[0] == lam and chain[-1] == mu
+                for a, b in zip(chain, chain[1:]):
+                    steps_ok = steps_ok and counts[a] < counts[b]
+            rows.append((lam, mu, maj, conj, monotone, steps_ok))
+    return tuple(parts), counts, tuple(rows)
+
+
 def suite_partition(n: int, p: int) -> SuiteReport:
     """Majorization, conjugate reversal and sequence domination agree on abelian p-groups."""
     if n > 10:
@@ -295,34 +329,19 @@ def suite_partition(n: int, p: int) -> SuiteReport:
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     rep = SuiteReport(f"partition[{n},p={p}]")
-    parts = partitions_of(n)
+    parts, counts, rows = _partition_facts(n)
     seqs = {lam: abelian_order_sequence(p, lam) for lam in parts}
-    counts = {lam: cyclic_subgroup_counts(p, lam).part_product for lam in parts}
-    conjs = {lam: conjugate(lam) for lam in parts}
-    for lam in parts:
-        for mu in parts:
-            rep.cases += 1
-            dom = dominates(seqs[lam], seqs[mu])
-            # partitions_of and conjugate return valid partitions of n
-            maj = _majorizes(lam, mu)
-            conj = _majorizes(conjs[mu], conjs[lam])
-            rep.require(
-                dom == maj == conj,
-                f"{lam} vs {mu}: domination {dom}, majorization {maj}, conjugate {conj}",
-            )
-            if not maj or lam == mu:
-                continue
-            rep.require(
-                counts[lam] <= counts[mu],
-                f"cyclic-subgroup count not monotone from {lam} to {mu}",
-            )
-            chain = box_move_chain(lam, mu)
-            # every step is a partition of n (tests/test_partitions.py checks
-            # this), so its part product is already in counts
-            steps_ok = chain[0] == lam and chain[-1] == mu
-            for a, b in zip(chain, chain[1:]):
-                steps_ok = steps_ok and counts[a] < counts[b]
-            rep.require(steps_ok, f"box-move chain from {lam} to {mu} is not strictly increasing")
+    for lam, mu, maj, conj, monotone, steps_ok in rows:
+        rep.cases += 1
+        dom = dominates(seqs[lam], seqs[mu])
+        rep.require(
+            dom == maj == conj,
+            f"{lam} vs {mu}: domination {dom}, majorization {maj}, conjugate {conj}",
+        )
+        if not maj or lam == mu:
+            continue
+        rep.require(monotone, f"cyclic-subgroup count not monotone from {lam} to {mu}")
+        rep.require(steps_ok, f"box-move chain from {lam} to {mu} is not strictly increasing")
     if (n, p) == (6, 2):
         rep.cases += 1
         a, b = (4, 1, 1), (3, 3)
@@ -420,31 +439,34 @@ def suite_simple_pair() -> SuiteReport:
     return rep
 
 
-def _incomparable_pairs(listing) -> list[tuple[str, str]]:
-    """Name pairs (i < j, in listing order) of a (name, group) listing whose sequences are incomparable."""
-    seqs = [(name, order_sequence(g)) for name, g in listing]
+def _incomparable_pairs(seqs) -> list[tuple[str, str]]:
+    """Name pairs (i < j, in listing order) of a (name, sequence) listing whose sequences are incomparable."""
     return [(a, b) for i, (a, sa) in enumerate(seqs) for b, sb in seqs[i + 1 :] if not comparable(sa, sb)]
+
+
+def _catalog_sequences(n: int) -> list:
+    return [(name, order_sequence(g)) for name, g in catalog(n)]
 
 
 def suite_antichain() -> SuiteReport:
     """Smallest incomparable pairs: order 12 in general, order 36 among abelian groups."""
     rep = SuiteReport("antichain")
     for n in range(1, 12):
-        listing = catalog(n)
+        listing = _catalog_sequences(n)
         rep.cases += math.comb(len(listing), 2)
         for a, b in _incomparable_pairs(listing):
             rep.failures.append(f"order {n}: {a} and {b} are incomparable")
-    found = _incomparable_pairs(catalog(12))
+    found = _incomparable_pairs(_catalog_sequences(12))
     rep.cases += 1
     rep.require(bool(found), "no incomparable pair at order 12")
     if found:
         rep.note(f"order 12 incomparable pair: {found[0][0]} vs {found[0][1]}")
     for n in range(2, 36):
-        listing = [(g.name, g) for g in abelian_groups_of_order(n)]
+        listing = abelian_sequences_of_order(n)
         rep.cases += math.comb(len(listing), 2)
         for a, b in _incomparable_pairs(listing):
             rep.failures.append(f"abelian order {n}: {a} and {b} are incomparable")
-    found = _incomparable_pairs([(g.name, g) for g in abelian_groups_of_order(36)])
+    found = _incomparable_pairs(abelian_sequences_of_order(36))
     rep.cases += 1
     rep.require(bool(found), "no incomparable abelian pair at order 36")
     if found:

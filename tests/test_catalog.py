@@ -3,13 +3,16 @@ import pytest
 from ordseq.catalog import (
     KNOWN_GROUP_COUNTS,
     abelian_groups_of_order,
+    abelian_sequences_of_order,
     catalog,
     elementary_product,
     frobenius20,
     frobenius21,
     group_by_name,
     modular16,
+    nilpotent_group,
     nilpotent_groups_of_order,
+    nilpotent_sequences_of_order,
     semidihedral16,
     standard_family,
     supported_orders,
@@ -124,6 +127,22 @@ def test_abelian_filter():
     # works beyond the catalog orders
     assert len(abelian_groups_of_order(36)) == 4
     assert all(g.size == 36 for g in abelian_groups_of_order(36))
+
+
+@pytest.mark.parametrize("n", range(1, 37))
+def test_abelian_sequences_match_the_built_groups(n):
+    assert abelian_sequences_of_order(n) == tuple((g.name, order_sequence(g)) for g in abelian_groups_of_order(n))
+
+
+@pytest.mark.parametrize("n", supported_orders())
+def test_nilpotent_sequences_match_the_built_groups(n):
+    groups = nilpotent_groups_of_order(n)
+    assert nilpotent_sequences_of_order(n) == tuple((g.name, order_sequence(g)) for g in groups)
+    for g in groups:
+        alone = nilpotent_group(n, g.name)
+        assert alone.name == g.name and alone.element_orders() == g.element_orders()
+    with pytest.raises(UnsupportedOrderError):
+        nilpotent_group(n, "nope")
 
 
 def test_elementary_product():

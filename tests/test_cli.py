@@ -51,16 +51,6 @@ def test_rho_formatting():
     assert _format_rho(10**120) == "100000000000e109"
 
 
-@pytest.fixture
-def default_int_str_limit():
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("no int-to-str digit limit before Python 3.11")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield sys.int_info.default_max_str_digits
-    sys.set_int_max_str_digits(saved)
-
-
 def test_rho_formatting_past_the_int_str_limit(default_int_str_limit):
     assert _format_rho(10**5000) == "100000000000e4989"
 

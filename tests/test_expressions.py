@@ -91,3 +91,16 @@ def test_no_cap_by_default():
     assert parse_group("C24000").size == 24000
     with pytest.raises(SizeLimitError):
         parse_group("C30000")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("Aff(2,15000,3)", id="Aff-2-15000-3"),
+        pytest.param(f"Ab({'9' * 3000},{'9' * 3000})", id="Ab-3000-digit-moduli"),
+    ],
+)
+def test_huge_sizes_without_a_cap_are_refused(default_int_str_limit, text):
+    # the refusal names the cap, never the order, which has too many digits to print
+    with pytest.raises(SizeLimitError, match="exceeds the cap of"):
+        parse_group(text)

@@ -13,6 +13,7 @@ from ordseq.partitions import abelian_order_sequence, partitions_of
 from ordseq.sequences import (
     OrderSequence,
     comparable,
+    cyclic_order_sequence,
     dominates,
     nilpotent_from_sequence,
     order_sequence,
@@ -66,6 +67,11 @@ def test_cyclic_six_invariants():
     assert psi(s) == 21
     assert psi_k(s, 2) == 95
     assert rho(s) == 648
+
+
+def test_cyclic_closed_form_matches_the_built_group():
+    for n in range(1, 61):
+        assert cyclic_order_sequence(n) == order_sequence(cyclic(n))
 
 
 def _count_up_to(seq, threshold):

@@ -3,17 +3,26 @@ from pathlib import Path
 
 import pytest
 
+from ordseq.catalog import (
+    abelian_groups_of_order,
+    catalog,
+    nilpotent_group,
+    nilpotent_groups_of_order,
+    supported_orders,
+)
 from ordseq.errors import NoWitness, PreconditionError
-from ordseq.groups import abelian, cyclic
-from ordseq.numth import is_prime
+from ordseq.groups import FiniteGroup, abelian, cyclic
+from ordseq.numth import is_prime, prime_divisors
 from ordseq.sequences import nilpotent_from_sequence, order_sequence
 from ordseq.suites import (
     SUITES,
     SuiteReport,
+    _partition_facts,
     minimal_nonnilpotent_group,
     nonnilpotent_order_witness,
     run_all,
     run_suite,
+    suite_antichain,
     suite_extension,
     suite_gap_bounds,
     suite_improved_nilpotent_bound,
@@ -153,6 +162,71 @@ def test_partition_suite_bounds():
     assert suite_partition(10, 2).passed
     with pytest.raises(PreconditionError):
         suite_partition(11, 2)
+
+
+def _without_seconds(rep: SuiteReport) -> dict:
+    return {k: v for k, v in rep.to_dict().items() if k != "seconds"}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_partition_facts_do_not_depend_on_p(n):
+    reference = json.loads(VERIFY_REFERENCE.read_text())["reports"]
+    expected = next(r for r in reference if r["name"] == f"partition[{n},p=3]")
+    _partition_facts.cache_clear()
+    cold = _without_seconds(suite_partition(n, 3))
+    _partition_facts.cache_clear()
+    suite_partition(n, 2)  # fills the cache from p = 2
+    warm = _without_seconds(suite_partition(n, 3))
+    assert cold == warm == expected
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Names of the groups built (their axioms checked) from here on, in order."""
+    names = []
+    finalize = FiniteGroup._finalize
+
+    def counted(self):
+        names.append(self.name)
+        finalize(self)
+
+    monkeypatch.setattr(FiniteGroup, "_finalize", counted)
+    for n in supported_orders():
+        catalog(n)
+    # the group-built listings are test oracles; the suites must not need them
+    abelian_groups_of_order.cache_clear()
+    nilpotent_groups_of_order.cache_clear()
+    names.clear()
+    return names
+
+
+def test_sequence_only_suites_build_no_group(builds):
+    suite_antichain()
+    for n in supported_orders():
+        suite_unique_max(n)
+        if n > 1:
+            suite_gap_bounds(n)
+    assert builds == []
+
+
+@pytest.mark.parametrize("n", supported_orders())
+def test_nilpotent_minimality_builds_only_the_minimal_products(builds, n):
+    witness = nonnilpotent_order_witness(n) is not None
+    if witness:
+        minimal_nonnilpotent_group(n)  # fills the field cache
+    builds.clear()
+    rep = suite_nilpotent_minimality(n)
+    built = list(builds)
+    builds.clear()
+    # each minimal product and its Sylow subgroups, then the witness group
+    classes = rep.notes[0].removeprefix("minimal nilpotent classes: ").split(", ")
+    for name in "=".join(classes).split("="):
+        g = nilpotent_group(n, name)
+        for p in prime_divisors(n):
+            g.subgroup(g.sylow_subgroup(p))
+    if witness:
+        minimal_nonnilpotent_group(n)
+    assert built == builds
 
 
 def test_fixed_suites_pass():
