@@ -4,6 +4,11 @@ Every group is the set {0, ..., size-1} with 0 as the identity.
 Concrete backings supply `mul` and `inv`; everything else (element
 orders, closures, quotients, Sylow subgroups, isomorphism testing)
 is generic and works uniformly across backings.
+
+Every construction checks its axioms when it is built.  A group of at
+most TABLE_LIMIT elements, and every TableGroup, is checked exactly on
+its Cayley table (associativity by Light's test) and then multiplies by
+table lookup; a larger group gets seeded spot checks.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ import math
 import random
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import (
     ActionNotAutomorphism,
@@ -26,6 +32,7 @@ from .numth import is_power_of, is_prime
 
 MAX_GROUP_SIZE = 25000
 ISO_SIZE_LIMIT = 2500
+TABLE_LIMIT = 64
 _SPOT_SAMPLES = 1000
 _EXHAUSTIVE_PAIRS = 256
 
@@ -50,12 +57,41 @@ def _seeded_draws(seed: int, n: int, count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _right_generators(rows) -> tuple[int, ...]:
+    """Indices whose right multiples reach every row index from 0.
+
+    Each index is the lowest one that the earlier ones do not reach, so
+    without the last one some index stays unreached.  In a table whose row and column 0
+    are the identity, the elements a with (x*a)*y = x*(a*y) for all x and
+    y are closed under products, so checking those laws for these
+    indices alone proves the table associative (Light's test; Clifford &
+    Preston, The Algebraic Theory of Semigroups, vol. 1, 1961, sec. 1.2).
+    """
+    gens: list[int] = []
+    reached = [0]
+    seen = {0}
+    for g in range(len(rows)):
+        if g in seen:
+            continue
+        gens.append(g)
+        for x in reached:
+            row = rows[x]
+            for a in gens:
+                y = row[a]
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+    return tuple(gens)
+
+
 class FiniteGroup:
     """Base class; subclasses must implement mul and inv."""
 
     identity = 0
+    table: tuple[tuple[int, ...], ...] | None = None  # Cayley table rows; see _finalize
 
-    def __init__(self, size: int, name: str):
+    def __init__(self, size: int, name: str | None):
+        # subclasses format their default names after this, as a huge size cannot be printed
         if size < 1:
             raise PreconditionError("a group needs at least the identity")
         if size > MAX_GROUP_SIZE:
@@ -106,7 +142,50 @@ class FiniteGroup:
         return reduce(math.lcm, set(self.element_orders()), 1)
 
     def _finalize(self) -> None:
-        """Spot-check the group axioms on the finished backing."""
+        """Check the group axioms on the finished backing.
+
+        A TableGroup sets `table` first, at any size; any other group of
+        at most TABLE_LIMIT elements fills it from `mul`.  On a table the checks are exact: every
+        product is an index, 0 is a two-sided identity, `inv(g)` is a
+        two-sided inverse of every g, and Light's test proves
+        associativity.  Then `mul` and `inv` read the table.  A larger
+        group is spot-checked: the identity on every element, inverses on
+        every element up to 4096 and on a seeded sample beyond, and
+        associativity on a seeded sample of triples.
+        """
+        n = self.size
+        rows = self.table
+        if rows is None:
+            if n > TABLE_LIMIT:
+                self._spot_check()
+                return
+            mul = self.mul
+            rows = tuple(tuple(map(mul, repeat(a, n), range(n))) for a in range(n))
+        elements = tuple(range(n))
+        if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+            raise PreconditionError("a product is not an element index")
+        for g in elements:
+            if rows[0][g] != g or rows[g][0] != g:
+                raise PreconditionError(f"index 0 is not an identity at {g}")
+        invs = tuple(map(self.inv, elements))
+        for g, h in enumerate(invs):
+            if not (0 <= h < n and rows[g][h] == 0 == rows[h][g]):
+                raise PreconditionError(f"{h} fails as the inverse of {g}")
+        for a in _right_generators(rows):
+            right = itemgetter(*rows[a])
+            for x, row in enumerate(rows):
+                if rows[row[a]] != right(row):
+                    y = next(y for y in elements if rows[row[a]][y] != row[rows[a][y]])
+                    raise PreconditionError(f"associativity fails at ({x}, {a}, {y})")
+
+        def mul(a: int, b: int) -> int:
+            return rows[a][b]
+
+        self.table = rows
+        self.mul = mul
+        self.inv = invs.__getitem__
+
+    def _spot_check(self) -> None:
         n = self.size
         mul, inv = self.mul, self.inv
         for g in range(n):
@@ -117,12 +196,8 @@ class FiniteGroup:
             h = inv(g)
             if mul(g, h) != 0 or mul(h, g) != 0:
                 raise PreconditionError(f"{h} fails as the inverse of {g}")
-        if n**3 <= _SPOT_SAMPLES:
-            triples = product(range(n), repeat=3)
-        else:
-            draws = iter(_seeded_draws(n + 1, n, 3 * _SPOT_SAMPLES))
-            triples = zip(draws, draws, draws)
-        for a, b, c in triples:
+        draws = iter(_seeded_draws(n + 1, n, 3 * _SPOT_SAMPLES))
+        for a, b, c in zip(draws, draws, draws):
             if mul(mul(a, b), c) != mul(a, mul(b, c)):
                 raise PreconditionError(f"associativity fails at ({a}, {b}, {c})")
 
@@ -306,7 +381,8 @@ class CyclicGroup(FiniteGroup):
     """Integers modulo n under addition."""
 
     def __init__(self, n: int, name: str | None = None):
-        super().__init__(n, name or f"C{n}")
+        super().__init__(n, name)
+        self.name = name or f"C{n}"
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:
@@ -329,7 +405,8 @@ class AbelianGroup(FiniteGroup):
         moduli = tuple(int(m) for m in moduli)
         if any(m < 1 for m in moduli):
             raise PreconditionError("moduli must be positive integers")
-        super().__init__(math.prod(moduli), name or abelian_name(moduli))
+        super().__init__(math.prod(moduli), name)
+        self.name = name or abelian_name(moduli)
         self.moduli = moduli
         strides = []
         s = 1
@@ -383,7 +460,8 @@ class SemidirectProductGroup(FiniteGroup):
     """
 
     def __init__(self, target: FiniteGroup, k: int, gen_perm, name: str | None = None):
-        super().__init__(target.size * k, name or f"{target.name}:C{k}")
+        super().__init__(target.size * k, name)
+        self.name = name or f"{target.name}:C{k}"
         n = target.size
         gen_perm = tuple(gen_perm)
         if sorted(gen_perm) != list(range(n)):
@@ -432,7 +510,8 @@ class DicyclicGroup(FiniteGroup):
         m, r = divmod(order, 4)
         if r or m < 1:
             raise PreconditionError("dicyclic groups have order divisible by 4")
-        super().__init__(order, name or f"Dic{order}")
+        super().__init__(order, name)
+        self.name = name or f"Dic{order}"
         self.m = m
         self._finalize()
 
@@ -463,7 +542,8 @@ class HeisenbergGroup(FiniteGroup):
     def __init__(self, p: int, name: str | None = None):
         if not is_prime(p) or p == 2:
             raise PreconditionError("this construction needs an odd prime")
-        super().__init__(p**3, name or f"Heis{p}")
+        super().__init__(p**3, name)
+        self.name = name or f"Heis{p}"
         self.p = p
         self._finalize()
 
@@ -531,27 +611,18 @@ class TableGroup(FiniteGroup):
         rows = tuple(tuple(row) for row in table)
         n = len(rows)
         super().__init__(n, name or f"Table{n}")
-        for row in rows:
-            if len(row) != n or any(not 0 <= e < n for e in row):
-                raise PreconditionError("each table row must list an index for every element")
-        self.table = rows
+        if any(len(row) != n for row in rows):
+            raise PreconditionError("each table row must list an index for every element")
         invs = []
         for a, row in enumerate(rows):
             try:
-                b = row.index(0)
+                invs.append(row.index(0))
             except ValueError:
                 raise PreconditionError(f"element {a} has no right inverse") from None
-            if rows[b][a] != 0:
-                raise PreconditionError(f"element {a} has no two-sided inverse")
-            invs.append(b)
-        self._inv = tuple(invs)
+        # _finalize checks these and then serves mul and inv from them
+        self.table = rows
+        self.inv = tuple(invs).__getitem__
         self._finalize()
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inv[a]
 
 
 def cyclic(n: int) -> CyclicGroup:

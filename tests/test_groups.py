@@ -10,12 +10,16 @@ from ordseq.errors import (
     NotNormal,
     NotSubgroup,
     PreconditionError,
+    SizeLimitError,
 )
-from ordseq.catalog import group_by_name
+from ordseq.catalog import catalog, group_by_name, supported_orders
 from ordseq.groups import (
+    TABLE_LIMIT,
     DicyclicGroup,
     PermutationGroup,
     SemidirectProductGroup,
+    TableGroup,
+    _right_generators,
     _seeded_draws,
     abelian,
     alternating,
@@ -26,7 +30,8 @@ from ordseq.groups import (
     power_map,
     symmetric,
 )
-from ordseq.sequences import order_sequence
+from ordseq.partitions import abelian_order_sequence
+from ordseq.sequences import cyclic_order_sequence, order_sequence
 
 
 def test_cyclic_basics():
@@ -156,7 +161,13 @@ def test_direct_product():
     g = direct_product(cyclic(2), cyclic(3))
     assert g.size == 6
     assert g.is_isomorphic(cyclic(6))
-    assert direct_product(symmetric(3), cyclic(2)).size == 12
+    s3, c2 = symmetric(3), cyclic(2)
+    g = direct_product(s3, c2)
+    assert g.size == 12
+    # element index is left * 2 + right
+    for a in range(12):
+        for b in range(12):
+            assert g.mul(a, b) == s3.mul(a // 2, b // 2) * 2 + c2.mul(a % 2, b % 2)
 
 
 def test_semidirect_inversion_gives_dihedral():
@@ -246,3 +257,135 @@ def test_heisenberg():
     assert not g.is_abelian()
     assert g.is_nilpotent()
     assert Counter(g.element_orders())[3] == 26
+
+
+def test_huge_orders_are_refused_by_size(default_int_str_limit):
+    # the size is checked before the default name would format it
+    with pytest.raises(SizeLimitError):
+        cyclic(10**5000)
+    with pytest.raises(SizeLimitError):
+        abelian([10**5000])
+    with pytest.raises(SizeLimitError):
+        DicyclicGroup(4 * 10**5000)
+
+
+def _rows(g):
+    return [[g.mul(a, b) for b in range(g.size)] for a in range(g.size)]
+
+
+def _associative(rows):
+    n = range(len(rows))
+    return all(rows[rows[a][b]][c] == rows[a][rows[b][c]] for a in n for b in n for c in n)
+
+
+def _right_closure(rows, gens):
+    """What right multiplication by gens reaches from 0."""
+    seen, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for a in gens:
+            y = rows[x][a]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "table, error",
+    [
+        ([[0, 1], [1]], "every element"),
+        ([[0, 1], [1, 2]], "no right inverse"),
+        ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], "not an element index"),
+        ([[0, 1, 2], [1, 0, 2], [2, 2, 0]], "associativity"),
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "inverse"),
+        ([[1, 0], [0, 1]], "identity"),
+    ],
+)
+def test_malformed_tables_are_refused(table, error):
+    with pytest.raises(PreconditionError, match=error):
+        TableGroup(table)
+
+
+def test_a5_with_one_altered_entry_is_refused():
+    # a seeded sample of 1,000 of the 216,000 triples misses the triples
+    # this entry breaks; Light's test on the table does not
+    rows = _rows(alternating(5))
+    assert rows[1][3] not in (0, 1)
+    rows[1][3] = 1
+    with pytest.raises(PreconditionError, match="associativity"):
+        TableGroup(rows)
+
+
+@pytest.mark.parametrize(
+    "build, altered",
+    [
+        (lambda: cyclic(4), 12),
+        (lambda: abelian([2, 2]), 12),
+        (lambda: symmetric(3), 80),
+        (lambda: cyclic(6), 80),
+        (lambda: DicyclicGroup(8), 252),
+    ],
+)
+def test_table_verdicts_match_brute_force_associativity(build, altered):
+    # every single-entry change that keeps the identity and the places of 0;
+    # only associativity can then decide the verdict
+    rows = _rows(build())
+    n = len(rows)
+    count = 0
+    for a in range(1, n):
+        for b in range(1, n):
+            if rows[a][b] == 0:
+                continue
+            for c in range(1, n):
+                if c == rows[a][b]:
+                    continue
+                table = [row[:] for row in rows]
+                table[a][b] = c
+                try:
+                    TableGroup(table)
+                    accepted = True
+                except PreconditionError:
+                    accepted = False
+                assert accepted == _associative(table), (a, b, c)
+                count += 1
+    assert count == altered
+
+
+def test_light_test_checks_every_generator():
+    # a Latin square with identity 0 and each element its own inverse: a
+    # loop of order 5, not a group; in its product with C3 the first
+    # generator, (0, 1), associates with everything, so only a later
+    # generator exposes the loop
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    rows = [[x * 3 + (c + d) % 3 for x in top for d in range(3)] for top in loop for c in range(3)]
+    n = len(rows)
+    assert _right_generators(rows)[0] == 1
+    assert all(rows[rows[x][1]][y] == rows[x][rows[1][y]] for x in range(n) for y in range(n))
+    assert not _associative(rows)
+    with pytest.raises(PreconditionError, match="associativity"):
+        TableGroup(rows)
+
+
+def test_right_generators_reach_everything_and_none_is_spare():
+    for n in supported_orders():
+        if n > TABLE_LIMIT:
+            continue
+        for name, g in catalog(n):
+            gens = _right_generators(g.table)
+            assert _right_closure(g.table, gens) == set(range(n)), name
+            if gens:
+                assert len(_right_closure(g.table, gens[:-1])) < n, name
+
+
+def test_table_limit_boundary():
+    at, past = cyclic(TABLE_LIMIT), cyclic(TABLE_LIMIT + 1)
+    assert at.table is not None and past.table is None
+    assert all(at.mul(a, b) == (a + b) % TABLE_LIMIT for a in range(TABLE_LIMIT) for b in range(TABLE_LIMIT))
+    assert order_sequence(at) == cyclic_order_sequence(TABLE_LIMIT)
+    assert order_sequence(past) == cyclic_order_sequence(TABLE_LIMIT + 1)
+    # a product past the limit is spot-checked, one at the limit tabulated
+    assert direct_product(cyclic(2), abelian([2] * 5)).table is not None
+    wide = direct_product(cyclic(3), abelian([3] * 3))
+    assert wide.table is None
+    assert order_sequence(wide) == abelian_order_sequence(3, (1, 1, 1, 1))
