@@ -185,12 +185,6 @@ class AffineGroup(FiniteGroup):
         b = self.field.add(self.field.mul(self.ws[i1], b2), b1)
         return (i1 + i2) % len(self.ws) * q + b
 
-    def inv(self, x: int) -> int:
-        q = self.field.order
-        i, b = divmod(x, q)
-        j = -i % len(self.ws)
-        return j * q + self.field.neg(self.field.mul(self.ws[j], b))
-
 
 def affine_frobenius_group(p: int, d: int, q: int) -> AffineGroup:
     """The affine maps x -> a*x + b with a of multiplicative order q."""

@@ -38,18 +38,11 @@ class LabeledGraph:
 
 
 def power_graph(group) -> LabeledGraph:
-    """Undirected graph joining g and h when one is a power of the other."""
-    n = group.size
-    if n > POWER_GRAPH_LIMIT:
-        raise SizeLimitError(f"power graphs are capped at {POWER_GRAPH_LIMIT} vertices")
-    edges = set()
-    for g in range(1, n):
-        x = group.mul(g, g)
-        while x != g:
-            edges.add((min(g, x), max(g, x)))
-            x = group.mul(x, g)
-    labels = tuple(str(i) for i in range(n))
-    return LabeledGraph(n, labels, frozenset(edges), directed=False)
+    """Undirected graph joining g and h when one is a power of the other:
+    the directed power graph with its arcs made edges."""
+    arcs = directed_power_graph(group)
+    edges = frozenset((min(g, h), max(g, h)) for g, h in arcs.edges)
+    return LabeledGraph(arcs.n, arcs.labels, edges, directed=False)
 
 
 def directed_power_graph(group) -> LabeledGraph:

@@ -1,14 +1,16 @@
 """Finite groups on integer element indices.
 
 Every group is the set {0, ..., size-1} with 0 as the identity.
-Concrete backings supply `mul` and `inv`; everything else (element
+Concrete backings supply `mul`; everything else (inverses, element
 orders, closures, quotients, Sylow subgroups, isomorphism testing)
 is generic and works uniformly across backings.
 
 Every construction checks its axioms when it is built.  A group of at
 most TABLE_LIMIT elements, and every TableGroup, is checked exactly on
 its Cayley table (associativity by Light's test) and then multiplies by
-table lookup; a larger group gets seeded spot checks.
+table lookup and reads its inverses off the table; a larger group gets
+seeded spot checks and takes its inverses from the power walk of
+element_orders.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import repeat
 from operator import itemgetter
 
@@ -35,26 +37,6 @@ ISO_SIZE_LIMIT = 2500
 TABLE_LIMIT = 64
 _SPOT_SAMPLES = 1000
 _EXHAUSTIVE_PAIRS = 256
-
-
-@lru_cache(maxsize=None)
-def _seeded_draws(seed: int, n: int, count: int) -> tuple[int, ...]:
-    """Draw for draw, the values random.Random(seed).randrange(n) gives count times.
-
-    randrange(n) rejects getrandbits(n.bit_length()) until the value is
-    below n; calling getrandbits directly skips the per-draw argument
-    handling, which dominated the cost of the axiom spot-checks.  Every
-    group of one size checks its axioms on the same draws, so each
-    (seed, n, count) is drawn once per process.
-    """
-    bits = random.Random(seed).getrandbits
-    k = n.bit_length()
-    out: list[int] = []
-    while len(out) < count:
-        r = bits(k)
-        if r < n:
-            out.append(r)
-    return tuple(out)
 
 
 def _right_generators(rows) -> tuple[int, ...]:
@@ -85,7 +67,7 @@ def _right_generators(rows) -> tuple[int, ...]:
 
 
 class FiniteGroup:
-    """Base class; subclasses must implement mul and inv."""
+    """Base class; subclasses must implement mul."""
 
     identity = 0
     table: tuple[tuple[int, ...], ...] | None = None  # Cayley table rows; see _finalize
@@ -105,7 +87,11 @@ class FiniteGroup:
         raise NotImplementedError
 
     def inv(self, a: int) -> int:
-        raise NotImplementedError
+        """Inverse of a.  A tabulated group binds `inv` to its table's
+        inverses in _finalize; any other group binds it on the first call,
+        when element_orders walks the powers."""
+        self.element_orders()
+        return self.inv(a)
 
     def __len__(self) -> int:
         return self.size
@@ -116,26 +102,36 @@ class FiniteGroup:
     def element_orders(self) -> tuple[int, ...]:
         """Order of every element, computed one cyclic subgroup at a time.
 
-        Walking the powers of g visits its whole cyclic subgroup, and the
-        order of g**k inside a cycle of length m is m / gcd(m, k), so each
-        cyclic subgroup is charged only once.
+        Walking the powers g, g**2, ..., g**m = 0 visits the whole cyclic
+        subgroup of g, and inside it g**k has order m / gcd(m, k) and
+        inverse g**(m-k), so each cyclic subgroup is charged only once.
+        Untabulated groups take their inverses from this walk.  Powers
+        that do not reach 0 within `size` steps never will: the backing
+        is not a group.
         """
         if self._orders is None:
-            orders = [0] * self.size
+            n = self.size
+            orders = [0] * n
+            invs = [0] * n
             orders[0] = 1
-            for g in range(1, self.size):
+            for g in range(1, n):
                 if orders[g]:
                     continue
                 cycle = [g]
                 x = self.mul(g, g)
                 while x != 0:
                     cycle.append(x)
+                    if len(cycle) == n:
+                        raise PreconditionError(f"the powers of {g} never reach the identity")
                     x = self.mul(x, g)
                 m = len(cycle) + 1
                 for k, e in enumerate(cycle, start=1):
                     if not orders[e]:
                         orders[e] = m // math.gcd(m, k)
+                        invs[e] = cycle[-k]
             self._orders = tuple(orders)
+            if self.table is None:
+                self.inv = tuple(invs).__getitem__
         return self._orders
 
     def exponent(self) -> int:
@@ -145,13 +141,15 @@ class FiniteGroup:
         """Check the group axioms on the finished backing.
 
         A TableGroup sets `table` first, at any size; any other group of
-        at most TABLE_LIMIT elements fills it from `mul`.  On a table the checks are exact: every
-        product is an index, 0 is a two-sided identity, `inv(g)` is a
-        two-sided inverse of every g, and Light's test proves
+        at most TABLE_LIMIT elements fills it from `mul`.  On a table the
+        checks are exact: every row has a 0, every product is an index, 0
+        is a two-sided identity, the right inverse of every g (where its
+        row has the 0) is a left inverse too, and Light's test proves
         associativity.  Then `mul` and `inv` read the table.  A larger
-        group is spot-checked: the identity on every element, inverses on
-        every element up to 4096 and on a seeded sample beyond, and
-        associativity on a seeded sample of triples.
+        group is spot-checked: the identity on every element,
+        associativity on a seeded sample of triples, and the inverses of
+        the power walk on every element up to 4096 and on a seeded sample
+        beyond.
         """
         n = self.size
         rows = self.table
@@ -161,15 +159,20 @@ class FiniteGroup:
                 return
             mul = self.mul
             rows = tuple(tuple(map(mul, repeat(a, n), range(n))) for a in range(n))
-        elements = tuple(range(n))
+        invs = []
+        for g, row in enumerate(rows):
+            try:
+                invs.append(row.index(0))
+            except ValueError:
+                raise PreconditionError(f"element {g} has no right inverse") from None
         if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
             raise PreconditionError("a product is not an element index")
+        elements = tuple(range(n))
         for g in elements:
             if rows[0][g] != g or rows[g][0] != g:
                 raise PreconditionError(f"index 0 is not an identity at {g}")
-        invs = tuple(map(self.inv, elements))
         for g, h in enumerate(invs):
-            if not (0 <= h < n and rows[g][h] == 0 == rows[h][g]):
+            if rows[h][g] != 0:
                 raise PreconditionError(f"{h} fails as the inverse of {g}")
         for a in _right_generators(rows):
             right = itemgetter(*rows[a])
@@ -183,30 +186,37 @@ class FiniteGroup:
 
         self.table = rows
         self.mul = mul
-        self.inv = invs.__getitem__
+        self.inv = tuple(invs).__getitem__
 
     def _spot_check(self) -> None:
         n = self.size
-        mul, inv = self.mul, self.inv
+        mul = self.mul
         for g in range(n):
             if mul(0, g) != g or mul(g, 0) != g:
                 raise PreconditionError(f"index 0 is not an identity at {g}")
-        sample = range(n) if n <= 4096 else _seeded_draws(n, n, _SPOT_SAMPLES)
-        for g in sample:
-            h = inv(g)
-            if mul(g, h) != 0 or mul(h, g) != 0:
-                raise PreconditionError(f"{h} fails as the inverse of {g}")
-        draws = iter(_seeded_draws(n + 1, n, 3 * _SPOT_SAMPLES))
-        for a, b, c in zip(draws, draws, draws):
+        draw = random.Random(n + 1).randrange
+        for _ in range(_SPOT_SAMPLES):
+            a, b, c = draw(n), draw(n), draw(n)
             if mul(mul(a, b), c) != mul(a, mul(b, c)):
                 raise PreconditionError(f"associativity fails at ({a}, {b}, {c})")
+        draw = random.Random(n).randrange
+        sample = range(n) if n <= 4096 else [draw(n) for _ in range(_SPOT_SAMPLES)]
+        for g in sample:
+            h = self.inv(g)
+            if mul(g, h) != 0 or mul(h, g) != 0:
+                raise PreconditionError(f"{h} fails as the inverse of {g}")
+
+    def _elements(self, elems) -> set[int]:
+        """The indices as a set, each checked to be an element."""
+        s = set(elems)
+        for g in s:
+            if not 0 <= g < self.size:
+                raise PreconditionError(f"index {g} is out of range")
+        return s
 
     def closure(self, gens) -> tuple[int, ...]:
         """Subgroup generated by gens, as a sorted index tuple."""
-        gens = list(dict.fromkeys(gens))
-        for g in gens:
-            if not 0 <= g < self.size:
-                raise PreconditionError(f"index {g} is out of range")
+        gens = self._elements(gens)
         seen = {0}
         stack = [0]
         while stack:
@@ -219,7 +229,7 @@ class FiniteGroup:
         return tuple(sorted(seen))
 
     def is_subgroup(self, elems) -> bool:
-        s = set(elems)
+        s = self._elements(elems)
         if 0 not in s:
             return False
         return all(self.mul(a, b) in s for a in s for b in s)
@@ -242,7 +252,7 @@ class FiniteGroup:
         Conjugations by a generating set generate all inner automorphisms,
         so only those are tested.
         """
-        s = set(elems)
+        s = self._elements(elems)
         return all(self.conjugate(g, a) in s for g in self.generating_sequence() for a in s)
 
     def quotient(self, elems, name: str | None = None) -> "TableGroup":
@@ -388,9 +398,6 @@ class CyclicGroup(FiniteGroup):
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.size
 
-    def inv(self, a: int) -> int:
-        return -a % self.size
-
 
 class AbelianGroup(FiniteGroup):
     """Direct sum of cyclic groups, elements in mixed-radix encoding.
@@ -423,12 +430,6 @@ class AbelianGroup(FiniteGroup):
             out += (a // s + b // s) % m * s
         return out
 
-    def inv(self, a: int) -> int:
-        out = 0
-        for m, s in self._strides:
-            out += -(a // s) % m * s
-        return out
-
 
 class DirectProductGroup(FiniteGroup):
     """Componentwise product of two groups; index is left * |right| + right."""
@@ -444,11 +445,6 @@ class DirectProductGroup(FiniteGroup):
         a1, a2 = divmod(a, h)
         b1, b2 = divmod(b, h)
         return self.left.mul(a1, b1) * h + self.right.mul(a2, b2)
-
-    def inv(self, a: int) -> int:
-        h = self.right.size
-        a1, a2 = divmod(a, h)
-        return self.left.inv(a1) * h + self.right.inv(a2)
 
 
 class SemidirectProductGroup(FiniteGroup):
@@ -473,8 +469,8 @@ class SemidirectProductGroup(FiniteGroup):
         if n <= _EXHAUSTIVE_PAIRS:
             pairs = [(a, b) for a in range(n) for b in range(n)]
         else:
-            draws = iter(_seeded_draws(0, n, 2 * _SPOT_SAMPLES))
-            pairs = list(zip(draws, draws))
+            draw = random.Random(0).randrange
+            pairs = [(draw(n), draw(n)) for _ in range(_SPOT_SAMPLES)]
         mul = target.mul
         for h, perm in enumerate(perms):
             for a, b in pairs:
@@ -492,12 +488,6 @@ class SemidirectProductGroup(FiniteGroup):
         n1, h1 = divmod(a, k)
         n2, h2 = divmod(b, k)
         return self.target.mul(n1, self.perms[h1][n2]) * k + (h1 + h2) % k
-
-    def inv(self, a: int) -> int:
-        k = self.k
-        n1, h1 = divmod(a, k)
-        hi = -h1 % k
-        return self.perms[hi][self.target.inv(n1)] * k + hi
 
 
 class DicyclicGroup(FiniteGroup):
@@ -525,12 +515,6 @@ class DicyclicGroup(FiniteGroup):
             return (i1 - i2) % tm * 2 + 1
         return (i1 - i2 + self.m) % tm * 2
 
-    def inv(self, a: int) -> int:
-        i, j = divmod(a, 2)
-        if j == 0:
-            return -i % (2 * self.m) * 2
-        return (i + self.m) % (2 * self.m) * 2 + 1
-
 
 class HeisenbergGroup(FiniteGroup):
     """Unitriangular 3x3 matrices over the prime field, for odd p.
@@ -554,12 +538,6 @@ class HeisenbergGroup(FiniteGroup):
         a2, r2 = divmod(y, p * p)
         b2, c2 = divmod(r2, p)
         return (a1 + a2) % p * p * p + (b1 + b2) % p * p + (c1 + c2 + a1 * b2) % p
-
-    def inv(self, x: int) -> int:
-        p = self.p
-        a, r = divmod(x, p * p)
-        b, c = divmod(r, p)
-        return -a % p * p * p + -b % p * p + (a * b - c) % p
 
 
 class PermutationGroup(FiniteGroup):
@@ -596,13 +574,6 @@ class PermutationGroup(FiniteGroup):
         pa, pb = self.perms[a], self.perms[b]
         return self._index[tuple(pa[i] for i in pb)]
 
-    def inv(self, a: int) -> int:
-        pa = self.perms[a]
-        out = [0] * self.degree
-        for i, j in enumerate(pa):
-            out[j] = i
-        return self._index[tuple(out)]
-
 
 class TableGroup(FiniteGroup):
     """Group given by an explicit multiplication table."""
@@ -613,15 +584,7 @@ class TableGroup(FiniteGroup):
         super().__init__(n, name or f"Table{n}")
         if any(len(row) != n for row in rows):
             raise PreconditionError("each table row must list an index for every element")
-        invs = []
-        for a, row in enumerate(rows):
-            try:
-                invs.append(row.index(0))
-            except ValueError:
-                raise PreconditionError(f"element {a} has no right inverse") from None
-        # _finalize checks these and then serves mul and inv from them
-        self.table = rows
-        self.inv = tuple(invs).__getitem__
+        self.table = rows  # _finalize checks it and then serves mul and inv from it
         self._finalize()
 
 

@@ -14,7 +14,7 @@ from ordseq.graphs import (
     power_graph,
     render_dot,
 )
-from ordseq.groups import DicyclicGroup, abelian, alternating, cyclic, dihedral, symmetric
+from ordseq.groups import DicyclicGroup, abelian, alternating, cyclic, dihedral, direct_product, heisenberg, symmetric
 from ordseq.sequences import order_sequence
 
 
@@ -37,6 +37,24 @@ def test_directed_power_graph_out_degrees(group):
     out = Counter(a for a, _ in g.edges)
     for v in range(group.size):
         assert out[v] + 1 == group.element_orders()[v]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: dihedral(8), lambda: heisenberg(3), lambda: direct_product(cyclic(3), symmetric(5))],
+    ids=["D8", "Heis3", "C3xS5"],
+)
+def test_power_graph_joins_each_element_to_its_powers(build):
+    group = build()
+    edges = set()
+    for g in range(group.size):
+        x = g
+        while True:
+            x = group.mul(x, g)
+            if x == g:
+                break
+            edges.add((min(g, x), max(g, x)))
+    assert power_graph(group).edges == edges
 
 
 def test_gk_graphs():

@@ -1,5 +1,4 @@
 import hashlib
-import random
 from collections import Counter
 
 import pytest
@@ -13,14 +12,15 @@ from ordseq.errors import (
     SizeLimitError,
 )
 from ordseq.catalog import catalog, group_by_name, supported_orders
+from ordseq.fields import affine_frobenius_group
 from ordseq.groups import (
     TABLE_LIMIT,
     DicyclicGroup,
+    FiniteGroup,
     PermutationGroup,
     SemidirectProductGroup,
     TableGroup,
     _right_generators,
-    _seeded_draws,
     abelian,
     alternating,
     cyclic,
@@ -74,14 +74,6 @@ def test_abelian_arithmetic_matches_digits(moduli):
             assert g.mul(a, b) == _undigits([(x + y) % m for x, y, m in zip(da, db, moduli)], moduli)
 
 
-@pytest.mark.parametrize("n", [11, 16, 60, 4097, 20160, 25000])
-def test_seeded_draws_match_randrange(n):
-    # the axiom spot-check sample must stay the one randrange draws
-    for seed in (0, n, n + 1):
-        rng = random.Random(seed)
-        assert _seeded_draws(seed, n, 3000) == tuple(rng.randrange(n) for _ in range(3000))
-
-
 def test_dihedral_and_dicyclic_sequences():
     assert str(order_sequence(dihedral(12))) == "1:1,2:7,3:2,6:2"
     assert str(order_sequence(DicyclicGroup(12))) == "1:1,2:1,3:2,4:6,6:2"
@@ -119,6 +111,65 @@ def test_power_and_inverse():
         assert x == g.inv(a)
         assert g.mul(a, g.inv(a)) == 0
     assert orders[0] == 1
+
+
+def _row_search_inverse(g, a):
+    return next(h for h in range(g.size) if g.mul(a, h) == 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cyclic(65),
+        lambda: abelian([5, 13]),
+        lambda: direct_product(cyclic(3), abelian([3] * 3)),
+        lambda: dihedral(130),
+        lambda: DicyclicGroup(68),
+        lambda: heisenberg(5),
+        lambda: symmetric(5),
+        lambda: affine_frobenius_group(2, 6, 7),
+    ],
+    ids=["C65", "C5xC13", "C3xC3^3", "D130", "Dic68", "Heis5", "S5", "Aff(2,6,7)"],
+)
+def test_inverses_from_the_power_walk(build):
+    # past the table limit every backing takes its inverses from element_orders
+    g = build()
+    assert g.size > TABLE_LIMIT and g.table is None
+    for a in range(g.size):
+        h = g.inv(a)
+        assert g.mul(a, h) == 0 == g.mul(h, a)
+        assert h == _row_search_inverse(g, a)
+
+
+def test_catalog_inverses_match_row_search():
+    for n in supported_orders():
+        for name, g in catalog(n):
+            assert [g.inv(a) for a in range(n)] == [_row_search_inverse(g, a) for a in range(n)], name
+
+
+class _MaxMonoid(FiniteGroup):
+    """0, ..., 64 under max: 0 is an identity and max associates, but no
+    other element has an inverse."""
+
+    mul = max
+
+    def __init__(self):
+        super().__init__(TABLE_LIMIT + 1, "max")
+        self._finalize()
+
+
+def test_monoid_past_the_table_limit_is_refused():
+    # the power walk of 1 stays at 1 and is cut off after `size` steps
+    with pytest.raises(PreconditionError, match="never reach the identity"):
+        _MaxMonoid()
+
+
+@pytest.mark.parametrize("n, elems", [(TABLE_LIMIT + 1, [0, TABLE_LIMIT + 1]), (6, [0, -3, 3]), (6, [0, 7])])
+def test_subset_checks_refuse_indices_outside_the_group(n, elems):
+    g = cyclic(n)
+    for check in (g.is_subgroup, g.is_normal, g.closure):
+        with pytest.raises(PreconditionError, match="out of range"):
+            check(elems)
 
 
 def test_subgroup_and_quotient():
