@@ -565,7 +565,6 @@ class PermutationGroup(FiniteGroup):
                     index[y] = len(elems)
                     elems.append(y)
         super().__init__(len(elems), name or f"Perm{len(elems)}")
-        self.degree = degree
         self.perms = elems
         self._index = index
         self._finalize()

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate
+from operator import ge
 
 from .errors import (
     NotAbelianPGroupSequence,
@@ -45,14 +46,20 @@ def conjugate(a) -> tuple[int, ...]:
 def majorizes(a, b) -> bool:
     """Whether every prefix sum of a is at least the matching one of b."""
     a, b = partition(a), partition(b)
-    if sum(a) != sum(b):
-        raise SizeMismatch(f"partitions have sizes {sum(a)} and {sum(b)}")
-    return _majorizes(a, b)
+    n = sum(a)
+    if n != sum(b):
+        raise SizeMismatch(f"partitions have sizes {n} and {sum(b)}")
+    return _majorizes(_prefix_sums(a, n), _prefix_sums(b, n))
 
 
-def _majorizes(a, b) -> bool:
-    """majorizes for partitions already known to be valid and of one size."""
-    return all(x >= y for x, y in zip_longest(accumulate(a), accumulate(b), fillvalue=sum(a)))
+def _prefix_sums(a, n: int) -> tuple[int, ...]:
+    """Prefix sums of a valid partition a of n, padded with n to length n."""
+    return tuple(accumulate(a)) + (n,) * (n - len(a))
+
+
+def _majorizes(sa, sb) -> bool:
+    """majorizes, given both partitions' _prefix_sums."""
+    return all(map(ge, sa, sb))
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
@@ -134,46 +141,45 @@ def cyclic_subgroup_counts(p: int, a) -> CyclicCounts:
 
 
 def box_move_chain(b, c) -> list[tuple[int, ...]]:
-    """A chain of single-box moves from b down to c, inclusive.
-
-    Each step moves one box from an earlier row to a later row, stays a
-    valid partition, and still majorizes c.  Returns [] when b == c.
-
-    The box leaves the last row of the run of equal parts holding the
-    first row where the current partition exceeds c, for the farthest
-    later row that keeps a partition majorizing c.
-    """
+    """A chain of single-box moves (see _box_move) from b down to c, inclusive; [] when b == c."""
     b, c = partition(b), partition(c)
-    if sum(b) != sum(c):
-        raise SizeMismatch(f"partitions have sizes {sum(b)} and {sum(c)}")
-    if not _majorizes(b, c):
+    if not majorizes(b, c):
         raise NotMajorized(f"{b} does not majorize {c}")
     if b == c:
         return []
     chain = [b]
-    cur = b
-    while cur != c:
-        row = cur + (0,)
-        # slack[k]: how far row's k-th prefix sum exceeds c's
-        slack = list(accumulate(x - y for x, y in zip(row, c + (0,) * len(row))))
-        i = next(k for k, v in enumerate(slack) if v > 0)
-        r = i
-        while row[r + 1] == row[i]:
-            r += 1
-        t = r
-        while t + 1 < len(row) and slack[t + 1] > 0:
-            t += 1
-        for s in range(min(t + 1, len(row) - 1), r, -1):
-            if row[s - 1] > row[s] + (s == r + 1):
-                break
-        else:
-            raise AssertionError("a legal box move always exists strictly above the target")
-        moved = list(row)
-        moved[r] -= 1
-        moved[s] += 1
-        cur = tuple(x for x in moved if x)
-        chain.append(cur)
+    while chain[-1] != c:
+        chain.append(_box_move(chain[-1], c))
     return chain
+
+
+def _box_move(cur, c) -> tuple[int, ...]:
+    """The next partition on the chain from cur down to c, for cur majorizing c and not c.
+
+    The step moves one box from an earlier row to a later row, stays a
+    valid partition, and still majorizes c.  The box leaves the last row
+    of the run of equal parts holding the first row where cur exceeds c,
+    for the farthest later row that keeps a partition majorizing c.
+    """
+    row = cur + (0,)
+    # slack[k]: how far row's k-th prefix sum exceeds c's
+    slack = list(accumulate(x - y for x, y in zip(row, c + (0,) * len(row))))
+    i = next(k for k, v in enumerate(slack) if v > 0)
+    r = i
+    while row[r + 1] == row[i]:
+        r += 1
+    t = r
+    while t + 1 < len(row) and slack[t + 1] > 0:
+        t += 1
+    for s in range(min(t + 1, len(row) - 1), r, -1):
+        if row[s - 1] > row[s] + (s == r + 1):
+            break
+    else:
+        raise AssertionError("a legal box move always exists strictly above the target")
+    moved = list(row)
+    moved[r] -= 1
+    moved[s] += 1
+    return tuple(x for x in moved if x)
 
 
 def defining_partition(seq: OrderSequence, p: int) -> tuple[int, ...]:

@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from ordseq import partitions, suites
 from ordseq.catalog import (
     abelian_groups_of_order,
     catalog,
@@ -13,6 +16,7 @@ from ordseq.catalog import (
 from ordseq.errors import NoWitness, PreconditionError
 from ordseq.groups import FiniteGroup, abelian, cyclic
 from ordseq.numth import is_prime, prime_divisors
+from ordseq.partitions import box_move_chain, conjugate, majorizes, partitions_of
 from ordseq.sequences import nilpotent_from_sequence, order_sequence
 from ordseq.suites import (
     SUITES,
@@ -178,6 +182,91 @@ def test_partition_facts_do_not_depend_on_p(n):
     suite_partition(n, 2)  # fills the cache from p = 2
     warm = _without_seconds(suite_partition(n, 3))
     assert cold == warm == expected
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_partition_facts_match_full_chain_walks(n):
+    # the suite decides each chain from its first move; rebuild every row
+    # from the public functions and whole chains instead
+    parts = partitions_of(n)
+    counts = {lam: math.prod(x + 1 for x in lam) for lam in parts}
+    rows = []
+    for lam in parts:
+        for mu in parts:
+            maj = majorizes(lam, mu)
+            conj = majorizes(conjugate(mu), conjugate(lam))
+            monotone = steps_ok = None
+            if maj and lam != mu:
+                monotone = counts[lam] <= counts[mu]
+                chain = box_move_chain(lam, mu)
+                steps_ok = chain[0] == lam and chain[-1] == mu
+                steps_ok = steps_ok and all(counts[a] < counts[b] for a, b in zip(chain, chain[1:]))
+            rows.append((lam, mu, maj, conj, monotone, steps_ok))
+    assert _partition_facts(n) == (tuple(parts), counts, tuple(rows))
+
+
+def _negated_count(p, lam):
+    return SimpleNamespace(part_product=-math.prod(x + 1 for x in lam))
+
+
+@pytest.mark.parametrize(
+    "name,fake,failures",
+    [
+        (
+            "dominates",
+            lambda a, b: False,
+            [
+                "(2,) vs (2,): domination False, majorization True, conjugate True",
+                "(2,) vs (1, 1): domination False, majorization True, conjugate True",
+                "(1, 1) vs (1, 1): domination False, majorization True, conjugate True",
+            ],
+        ),
+        (
+            "cyclic_subgroup_counts",
+            _negated_count,
+            [
+                "cyclic-subgroup count not monotone from (2,) to (1, 1)",
+                "box-move chain from (2,) to (1, 1) is not strictly increasing",
+            ],
+        ),
+        (
+            # a move off the partitions of n fails its case instead of raising
+            "_box_move",
+            lambda cur, c: cur + (1,),
+            ["box-move chain from (2,) to (1, 1) is not strictly increasing"],
+        ),
+    ],
+)
+def test_partition_failures_say_why(monkeypatch, name, fake, failures):
+    monkeypatch.setattr(suites, name, fake)
+    _partition_facts.cache_clear()
+    try:
+        rep = suite_partition(2, 2)
+    finally:
+        _partition_facts.cache_clear()
+    assert rep.passed is False
+    assert rep.failures == failures
+
+
+def test_partition_suite_makes_one_box_move_per_pair(monkeypatch):
+    calls = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or fn(*args))
+
+    counting(partitions, "box_move_chain")
+    if hasattr(suites, "box_move_chain"):
+        counting(suites, "box_move_chain")
+    counting(suites, "_box_move")
+    _partition_facts.cache_clear()
+    try:
+        run_suite("partition")
+    finally:
+        _partition_facts.cache_clear()
+    # one move per pair (lam, mu) with lam majorizing mu and lam != mu, n <= 10
+    assert calls.count("box_move_chain") == 0
+    assert calls.count("_box_move") == 1581
 
 
 @pytest.fixture
