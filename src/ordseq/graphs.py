@@ -40,26 +40,26 @@ class LabeledGraph:
 def power_graph(group) -> LabeledGraph:
     """Undirected graph joining g and h when one is a power of the other:
     the directed power graph with its arcs made edges."""
-    arcs = directed_power_graph(group)
-    edges = frozenset((min(g, h), max(g, h)) for g, h in arcs.edges)
-    return LabeledGraph(arcs.n, arcs.labels, edges, directed=False)
+    edges = frozenset((min(g, h), max(g, h)) for g, h in _power_arcs(group))
+    return LabeledGraph(group.size, tuple(map(str, range(group.size))), edges, directed=False)
 
 
 def directed_power_graph(group) -> LabeledGraph:
     """Arcs g -> h for every h in the cyclic subgroup of g, h distinct."""
+    arcs = frozenset(_power_arcs(group))
+    return LabeledGraph(group.size, tuple(map(str, range(group.size))), arcs, directed=True)
+
+
+def _power_arcs(group):
+    """The arcs (g, h) of the directed power graph, walking the powers of each g."""
     n = group.size
     if n > POWER_GRAPH_LIMIT:
         raise SizeLimitError(f"power graphs are capped at {POWER_GRAPH_LIMIT} vertices")
-    edges = set()
     for g in range(1, n):
-        x = g
-        while True:
+        x = group.mul(g, g)
+        while x != g:
+            yield g, x
             x = group.mul(x, g)
-            if x == g:
-                break
-            edges.add((g, x))
-    labels = tuple(str(i) for i in range(n))
-    return LabeledGraph(n, labels, frozenset(edges), directed=True)
 
 
 def gk_graph(group) -> LabeledGraph:

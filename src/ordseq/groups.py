@@ -1,9 +1,10 @@
 """Finite groups on integer element indices.
 
 Every group is the set {0, ..., size-1} with 0 as the identity.
-Concrete backings supply `mul`; everything else (inverses, element
-orders, closures, quotients, Sylow subgroups, isomorphism testing)
-is generic and works uniformly across backings.
+Concrete backings supply `mul`, and one of at most TABLE_LIMIT elements
+may hand in its Cayley table built from its structure; everything else
+(inverses, element orders, closures, quotients, Sylow subgroups,
+isomorphism testing) is generic and works uniformly across backings.
 
 Every construction checks its axioms when it is built.  A group of at
 most TABLE_LIMIT elements, and every TableGroup, is checked exactly on
@@ -19,7 +20,7 @@ import math
 import random
 from collections import Counter
 from functools import reduce
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .errors import (
@@ -64,6 +65,17 @@ def _right_generators(rows) -> tuple[int, ...]:
                     seen.add(y)
                     reached.append(y)
     return tuple(gens)
+
+
+def _cyclic_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Cayley table of the integers mod n: each row is a rotation."""
+    return tuple(tuple(chain(range(a, n), range(a))) for a in range(n))
+
+
+def _product_rows(left_rows, right_rows) -> tuple[tuple[int, ...], ...]:
+    """Cayley table of the direct product, with index a1 * |right| + a2."""
+    h = len(right_rows)
+    return tuple(tuple(x * h + y for x in lrow for y in rrow) for lrow in left_rows for rrow in right_rows)
 
 
 class FiniteGroup:
@@ -140,11 +152,13 @@ class FiniteGroup:
     def _finalize(self) -> None:
         """Check the group axioms on the finished backing.
 
-        A TableGroup sets `table` first, at any size; any other group of
-        at most TABLE_LIMIT elements fills it from `mul`.  On a table the
-        checks are exact: every row has a 0, every product is an index, 0
-        is a two-sided identity, the right inverse of every g (where its
-        row has the 0) is a left inverse too, and Light's test proves
+        A TableGroup sets `table` first, at any size, as may a backing of
+        at most TABLE_LIMIT elements that builds it from its structure
+        (a product from its factors' tables); any other group of at most
+        TABLE_LIMIT elements fills it from `mul`.  On a table the checks
+        are exact: every row has a 0, every product is an index, 0 is a
+        two-sided identity, the right inverse of every g (where its row
+        has the 0) is a left inverse too, and Light's test proves
         associativity.  Then `mul` and `inv` read the table.  A larger
         group is spot-checked: the identity on every element,
         associativity on a seeded sample of triples, and the inverses of
@@ -393,6 +407,8 @@ class CyclicGroup(FiniteGroup):
     def __init__(self, n: int, name: str | None = None):
         super().__init__(n, name)
         self.name = name or f"C{n}"
+        if n <= TABLE_LIMIT:
+            self.table = _cyclic_rows(n)
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:
@@ -422,6 +438,8 @@ class AbelianGroup(FiniteGroup):
                 strides.append((m, s))
             s *= m
         self._strides = tuple(strides)
+        if self.size <= TABLE_LIMIT:
+            self.table = reduce(_product_rows, map(_cyclic_rows, moduli), ((0,),))
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:
@@ -438,6 +456,9 @@ class DirectProductGroup(FiniteGroup):
         super().__init__(left.size * right.size, name or f"{left.name}x{right.name}")
         self.left = left
         self.right = right
+        if self.size <= TABLE_LIMIT:
+            # both factors are at most as large, so both are tabulated
+            self.table = _product_rows(left.table, right.table)
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:
@@ -481,6 +502,12 @@ class SemidirectProductGroup(FiniteGroup):
         self.target = target
         self.k = k
         self.perms = tuple(perms)
+        if self.size <= TABLE_LIMIT:
+            self.table = tuple(
+                tuple(x * k + (h1 + h2) % k for x in map(row.__getitem__, perm) for h2 in range(k))
+                for row in target.table
+                for h1, perm in enumerate(perms)
+            )
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:
@@ -567,6 +594,8 @@ class PermutationGroup(FiniteGroup):
         super().__init__(len(elems), name or f"Perm{len(elems)}")
         self.perms = elems
         self._index = index
+        if len(elems) <= TABLE_LIMIT:
+            self.table = tuple(tuple(index[tuple(map(pa.__getitem__, pb))] for pb in elems) for pa in elems)
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:

@@ -15,7 +15,10 @@ from ordseq.catalog import catalog, group_by_name, supported_orders
 from ordseq.fields import affine_frobenius_group
 from ordseq.groups import (
     TABLE_LIMIT,
+    AbelianGroup,
+    CyclicGroup,
     DicyclicGroup,
+    DirectProductGroup,
     FiniteGroup,
     PermutationGroup,
     SemidirectProductGroup,
@@ -440,3 +443,51 @@ def test_table_limit_boundary():
     wide = direct_product(cyclic(3), abelian([3] * 3))
     assert wide.table is None
     assert order_sequence(wide) == abelian_order_sequence(3, (1, 1, 1, 1))
+
+
+# the backings that build their Cayley tables from their structure
+_STRUCTURAL = (CyclicGroup, AbelianGroup, DirectProductGroup, SemidirectProductGroup, PermutationGroup)
+
+
+def test_structural_tables_match_their_mul():
+    # the table handed to _finalize and the one the class's own mul fills agree entry by entry
+    groups = [
+        cyclic(1),
+        abelian([]),
+        abelian([1, 4]),
+        direct_product(cyclic(1), symmetric(3)),
+        direct_product(symmetric(3), cyclic(1)),
+        SemidirectProductGroup(cyclic(7), 1, range(7)),
+        symmetric(1),
+        alternating(2),
+        dihedral(64),
+        direct_product(cyclic(2), abelian([2] * 5)),
+    ]
+    for n in supported_orders():
+        if n <= TABLE_LIMIT:
+            for _, g in catalog(n):
+                groups += [g] + [getattr(g, part) for part in ("left", "right", "target") if hasattr(g, part)]
+    groups = [g for g in groups if isinstance(g, _STRUCTURAL)]
+    assert {type(g) for g in groups} == set(_STRUCTURAL)
+    for g in groups:
+        mul, n = type(g).mul, g.size
+        assert g.table == tuple(tuple(mul(g, a, b) for b in range(n)) for a in range(n)), g.name
+
+
+def test_structural_backings_build_without_mul(monkeypatch):
+    calls = []
+    for cls in _STRUCTURAL:
+        def counted(self, a, b, _mul=cls.mul):
+            calls.append(type(self))
+            return _mul(self, a, b)
+
+        monkeypatch.setattr(cls, "mul", counted)
+    for n in supported_orders():
+        if n <= TABLE_LIMIT:
+            # past the cache, so every group is built here
+            for name, g in catalog.__wrapped__(n):
+                assert g.table is not None, name
+    assert calls == []
+    # past the limit the class's mul still serves the spot checks
+    wide = direct_product(cyclic(3), abelian([3] * 3))
+    assert wide.table is None and calls
