@@ -13,7 +13,6 @@ from itertools import product
 
 from .errors import PreconditionError, UnsupportedOrderError
 from .groups import (
-    CyclicGroup,
     DicyclicGroup,
     FiniteGroup,
     SemidirectProductGroup,
@@ -43,22 +42,22 @@ def supported_orders() -> tuple[int, ...]:
 
 def frobenius20() -> SemidirectProductGroup:
     """Order 20, a five-cycle twisted by an order-4 multiplier."""
-    return SemidirectProductGroup(CyclicGroup(5), 4, power_map(5, 2), "F20")
+    return SemidirectProductGroup(cyclic(5), 4, power_map(5, 2), "F20")
 
 
 def frobenius21() -> SemidirectProductGroup:
     """Order 21, a seven-cycle twisted by an order-3 multiplier."""
-    return SemidirectProductGroup(CyclicGroup(7), 3, power_map(7, 2), "F21")
+    return SemidirectProductGroup(cyclic(7), 3, power_map(7, 2), "F21")
 
 
 def modular16() -> SemidirectProductGroup:
     """The modular group of order 16: C8 twisted by the fifth-power map."""
-    return SemidirectProductGroup(CyclicGroup(8), 2, power_map(8, 5), "M16")
+    return SemidirectProductGroup(cyclic(8), 2, power_map(8, 5), "M16")
 
 
 def semidihedral16() -> SemidirectProductGroup:
     """The semidihedral group of order 16: C8 twisted by the cube map."""
-    return SemidirectProductGroup(CyclicGroup(8), 2, power_map(8, 3), "SD16")
+    return SemidirectProductGroup(cyclic(8), 2, power_map(8, 3), "SD16")
 
 
 _FAMILIES = {
@@ -85,7 +84,7 @@ def standard_family(name: str, params: tuple[int, ...] = ()) -> FiniteGroup:
 
 
 def _order16() -> list[FiniteGroup]:
-    c4_on_c4 = SemidirectProductGroup(CyclicGroup(4), 4, power_map(4, -1), "C4:C4")
+    c4_on_c4 = SemidirectProductGroup(cyclic(4), 4, power_map(4, -1), "C4:C4")
     swap = (0, 2, 1, 3)
     v4_by_c4 = SemidirectProductGroup(abelian([2, 2]), 4, swap, "(C2xC2):C4")
     d8xc4 = direct_product(dihedral(8), cyclic(4))
@@ -122,7 +121,7 @@ def _order60() -> list[FiniteGroup]:
         direct_product(cyclic(3), DicyclicGroup(20), "C3xDic20"),
         direct_product(cyclic(5), DicyclicGroup(12), "C5xDic12"),
         direct_product(cyclic(3), frobenius20(), "C3xF20"),
-        SemidirectProductGroup(CyclicGroup(15), 4, power_map(15, 2), "C15:C4"),
+        SemidirectProductGroup(cyclic(15), 4, power_map(15, 2), "C15:C4"),
         direct_product(symmetric(3), dihedral(10), "S3xD10"),
         direct_product(cyclic(5), alternating(4), "C5xA4"),
     ]
@@ -241,8 +240,6 @@ def _abelian_types(n: int):
 @lru_cache(maxsize=None)
 def abelian_groups_of_order(n: int) -> tuple[FiniteGroup, ...]:
     """All abelian groups of order n via partitions of each prime exponent."""
-    if n == 1:
-        return (cyclic(1),)
     return tuple(abelian(moduli) for moduli, _ in _abelian_types(n))
 
 

@@ -5,6 +5,8 @@ Concrete backings supply `mul`, and one of at most TABLE_LIMIT elements
 may hand in its Cayley table built from its structure; everything else
 (inverses, element orders, closures, quotients, Sylow subgroups,
 isomorphism testing) is generic and works uniformly across backings.
+A cyclic group is the AbelianGroup of one modulus; dihedral and
+Heisenberg groups are SemidirectProductGroups.
 
 Every construction checks its axioms when it is built.  A group of at
 most TABLE_LIMIT elements, and every TableGroup, is checked exactly on
@@ -79,9 +81,8 @@ def _product_rows(left_rows, right_rows) -> tuple[tuple[int, ...], ...]:
 
 
 class FiniteGroup:
-    """Base class; subclasses must implement mul."""
+    """Base class; subclasses implement mul and end __init__ with _finalize, which binds inv."""
 
-    identity = 0
     table: tuple[tuple[int, ...], ...] | None = None  # Cayley table rows; see _finalize
 
     def __init__(self, size: int, name: str | None):
@@ -97,13 +98,6 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
-
-    def inv(self, a: int) -> int:
-        """Inverse of a.  A tabulated group binds `inv` to its table's
-        inverses in _finalize; any other group binds it on the first call,
-        when element_orders walks the powers."""
-        self.element_orders()
-        return self.inv(a)
 
     def __len__(self) -> int:
         return self.size
@@ -213,6 +207,7 @@ class FiniteGroup:
             a, b, c = draw(n), draw(n), draw(n)
             if mul(mul(a, b), c) != mul(a, mul(b, c)):
                 raise PreconditionError(f"associativity fails at ({a}, {b}, {c})")
+        self.element_orders()
         draw = random.Random(n).randrange
         sample = range(n) if n <= 4096 else [draw(n) for _ in range(_SPOT_SAMPLES)]
         for g in sample:
@@ -389,30 +384,15 @@ class FiniteGroup:
                         stack.append(y)
             return mapping
 
-        def dfs(k: int, images: list[int]) -> bool:
-            if k == len(gens):
-                m = extend(images)
-                return m is not None and len(m) == self.size
-            for h in cands[k]:
-                if extend(images + [h]) is not None and dfs(k + 1, images + [h]):
-                    return True
-            return False
+        def dfs(images: list[int]) -> bool:
+            mapping = extend(images)
+            if mapping is None:
+                return False
+            if len(images) == len(gens):
+                return len(mapping) == self.size
+            return any(dfs(images + [h]) for h in cands[len(images)])
 
-        return dfs(0, [])
-
-
-class CyclicGroup(FiniteGroup):
-    """Integers modulo n under addition."""
-
-    def __init__(self, n: int, name: str | None = None):
-        super().__init__(n, name)
-        self.name = name or f"C{n}"
-        if n <= TABLE_LIMIT:
-            self.table = _cyclic_rows(n)
-        self._finalize()
-
-    def mul(self, a: int, b: int) -> int:
-        return (a + b) % self.size
+        return dfs([])
 
 
 class AbelianGroup(FiniteGroup):
@@ -430,7 +410,6 @@ class AbelianGroup(FiniteGroup):
             raise PreconditionError("moduli must be positive integers")
         super().__init__(math.prod(moduli), name)
         self.name = name or abelian_name(moduli)
-        self.moduli = moduli
         strides = []
         s = 1
         for m in reversed(moduli):
@@ -439,7 +418,7 @@ class AbelianGroup(FiniteGroup):
             s *= m
         self._strides = tuple(strides)
         if self.size <= TABLE_LIMIT:
-            self.table = reduce(_product_rows, map(_cyclic_rows, moduli), ((0,),))
+            self.table = reduce(_product_rows, map(_cyclic_rows, moduli)) if moduli else ((0,),)
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:
@@ -543,30 +522,6 @@ class DicyclicGroup(FiniteGroup):
         return (i1 - i2 + self.m) % tm * 2
 
 
-class HeisenbergGroup(FiniteGroup):
-    """Unitriangular 3x3 matrices over the prime field, for odd p.
-
-    Entries (a, b, c) multiply by (a+a', b+b', c+c'+a*b'); the index is
-    a*p**2 + b*p + c.
-    """
-
-    def __init__(self, p: int, name: str | None = None):
-        if not is_prime(p) or p == 2:
-            raise PreconditionError("this construction needs an odd prime")
-        super().__init__(p**3, name)
-        self.name = name or f"Heis{p}"
-        self.p = p
-        self._finalize()
-
-    def mul(self, x: int, y: int) -> int:
-        p = self.p
-        a1, r1 = divmod(x, p * p)
-        b1, c1 = divmod(r1, p)
-        a2, r2 = divmod(y, p * p)
-        b2, c2 = divmod(r2, p)
-        return (a1 + a2) % p * p * p + (b1 + b2) % p * p + (c1 + c2 + a1 * b2) % p
-
-
 class PermutationGroup(FiniteGroup):
     """Closure of a set of permutations of 0..degree-1 under composition."""
 
@@ -616,8 +571,9 @@ class TableGroup(FiniteGroup):
         self._finalize()
 
 
-def cyclic(n: int) -> CyclicGroup:
-    return CyclicGroup(n)
+def cyclic(n: int) -> AbelianGroup:
+    """Integers modulo n under addition."""
+    return AbelianGroup((n,))
 
 
 def abelian_name(moduli) -> str:
@@ -643,11 +599,22 @@ def dihedral(order: int) -> FiniteGroup:
     if order % 2 or order < 2:
         raise PreconditionError("dihedral groups have even order")
     m = order // 2
-    return SemidirectProductGroup(CyclicGroup(m), 2, power_map(m, -1), name=f"D{order}")
+    return SemidirectProductGroup(cyclic(m), 2, power_map(m, -1), name=f"D{order}")
 
 
-def heisenberg(p: int) -> HeisenbergGroup:
-    return HeisenbergGroup(p)
+def heisenberg(p: int) -> SemidirectProductGroup:
+    """Unitriangular 3x3 matrices over the prime field, for odd p.
+
+    Entries (a, b, c) multiply by (a+a', b+b', c+c'+a*b').  This is C_p x C_p,
+    holding (b, c), twisted by C_p, holding a, which acts as conjugation by
+    the matrix does: (b, c) goes to (b, c + a*b).  The index is b*p**2 + c*p + a.
+    """
+    if not is_prime(p) or p == 2:
+        raise PreconditionError("this construction needs an odd prime")
+    if p**3 > MAX_GROUP_SIZE:
+        raise SizeLimitError(f"group order exceeds the cap of {MAX_GROUP_SIZE}")
+    shear = tuple(b * p + (b + c) % p for b in range(p) for c in range(p))
+    return SemidirectProductGroup(abelian([p, p]), p, shear, name=f"Heis{p}")
 
 
 def symmetric(m: int) -> PermutationGroup:

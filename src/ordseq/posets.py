@@ -1,10 +1,10 @@
 """Finite posets built from a comparison callable, with Hasse diagrams.
 
-Items compare through a user relation that is only assumed reflexive and
-transitive; mutually comparable items are collapsed into one class.  The
-transitivity check and the Hasse covers work on each row of the relation
-held as an int bitmask, so a step over a whole row is one big-int
-operation.
+Items compare through a user relation that must be reflexive and
+transitive on the items themselves; mutually comparable items are
+collapsed into one class.  The checks, the classes and the Hasse covers
+work on each row of the relation held as an int bitmask, so a step over
+a whole row is one big-int operation.
 """
 
 from __future__ import annotations
@@ -53,27 +53,23 @@ def build_poset(items, leq) -> Poset:
     for i in range(k):
         if not rel[i][i]:
             raise PreconditionError(f"relation is not reflexive at {names[i]}")
-    cls_of = list(range(k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if rel[i][j] and rel[j][i]:
-                root = min(cls_of[i], cls_of[j])
-                old_i, old_j = cls_of[i], cls_of[j]
-                for t in range(k):
-                    if cls_of[t] in (old_i, old_j):
-                        cls_of[t] = root
+    up = [_mask(row) for row in rel]
+    for a, above in enumerate(up):
+        for b in _bits(above):
+            if up[b] & ~above:
+                raise PreconditionError("relation is not transitive")
+    # now items comparable both ways are those with equal up-sets, so each
+    # item's class is named by the lowest item with its up-set
+    lowest: dict[int, int] = {}
+    cls_of = [lowest.setdefault(m, i) for i, m in enumerate(up)]
     reps = sorted(set(cls_of))
     members = tuple(tuple(sorted(names[t] for t in range(k) if cls_of[t] == r)) for r in reps)
     class_names = tuple("=".join(m) for m in members)
     crel = tuple(tuple(rel[ra][rb] for rb in reps) for ra in reps)
-    cup = [_mask(row) for row in crel]
-    for a, above in enumerate(cup):
-        for b in _bits(above):
-            if cup[b] & ~above:
-                raise PreconditionError("relation is not transitive")
-    for a, above in enumerate(cup):
-        for b in _bits(above & ~(1 << a)):
-            if cup[b] >> a & 1:
+    rep_bits = sum(1 << r for r in reps)
+    for a in reps:
+        for b in _bits(up[a] & rep_bits & ~(1 << a)):
+            if up[b] >> a & 1:
                 raise AssertionError("collapsing must leave an antisymmetric relation")
     return Poset(class_names, members, crel)
 

@@ -16,7 +16,6 @@ from ordseq.fields import affine_frobenius_group
 from ordseq.groups import (
     TABLE_LIMIT,
     AbelianGroup,
-    CyclicGroup,
     DicyclicGroup,
     DirectProductGroup,
     FiniteGroup,
@@ -313,6 +312,36 @@ def test_heisenberg():
     assert Counter(g.element_orders())[3] == 26
 
 
+def _unitriangular(p):
+    """Matrices (a, b, c) with (a, b, c)(a', b', c') = (a+a', b+b', c+c'+ab'), as a table."""
+    elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    index = {x: i for i, x in enumerate(elems)}
+    return TableGroup(
+        [[index[(a + d) % p, (b + e) % p, (c + f + a * e) % p] for d, e, f in elems] for a, b, c in elems],
+        f"UT3({p})",
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_heisenberg_is_the_unitriangular_group(p):
+    g, oracle = heisenberg(p), _unitriangular(p)
+    assert g.is_isomorphic(oracle)
+    assert order_sequence(g) == order_sequence(oracle)
+
+
+def test_heisenberg_past_the_cap_builds_nothing(monkeypatch):
+    for cls in (AbelianGroup, SemidirectProductGroup):
+        monkeypatch.setattr(cls, "__init__", lambda *args: pytest.fail("a group was built"))
+    with pytest.raises(SizeLimitError):
+        heisenberg(31)
+
+
+@pytest.mark.parametrize("p, digest", [(3, "adfa20dfe6eef573"), (5, "ee14c4b1d022c2a3")])
+def test_heisenberg_tables_are_pinned(p, digest):
+    # (a, b, c) has index b*p**2 + c*p + a; graph outputs of Heis(p) follow this numbering
+    assert _table_digest(heisenberg(p)) == digest
+
+
 def test_huge_orders_are_refused_by_size(default_int_str_limit):
     # the size is checked before the default name would format it
     with pytest.raises(SizeLimitError):
@@ -446,7 +475,7 @@ def test_table_limit_boundary():
 
 
 # the backings that build their Cayley tables from their structure
-_STRUCTURAL = (CyclicGroup, AbelianGroup, DirectProductGroup, SemidirectProductGroup, PermutationGroup)
+_STRUCTURAL = (AbelianGroup, DirectProductGroup, SemidirectProductGroup, PermutationGroup)
 
 
 def test_structural_tables_match_their_mul():
@@ -458,6 +487,7 @@ def test_structural_tables_match_their_mul():
         direct_product(cyclic(1), symmetric(3)),
         direct_product(symmetric(3), cyclic(1)),
         SemidirectProductGroup(cyclic(7), 1, range(7)),
+        heisenberg(3),
         symmetric(1),
         alternating(2),
         dihedral(64),

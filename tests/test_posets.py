@@ -50,6 +50,22 @@ def test_build_poset_rejects_non_transitive_relation():
         build_poset(items, lambda x, y: _NON_TRANSITIVE[x][y])
 
 
+@pytest.mark.parametrize(
+    "relation",
+    [
+        # a = b and b = c, but a and c are incomparable
+        ((1, 1, 0), (1, 1, 1), (0, 1, 1)),
+        # a = b and b <= c, but not a <= c
+        ((1, 1, 0), (1, 1, 1), (0, 0, 1)),
+    ],
+    ids=["one-class", "b-below-c"],
+)
+def test_transitivity_is_checked_on_items_not_classes(relation):
+    items = [("a", 0), ("b", 1), ("c", 2)]
+    with pytest.raises(PreconditionError, match="not transitive"):
+        build_poset(items, lambda x, y: bool(relation[x][y]))
+
+
 def test_hasse_closure_check_rejects_non_transitive_relation():
     poset = Poset(("a", "b", "c"), (("a",), ("b",), ("c",)), _NON_TRANSITIVE)
     with pytest.raises(AssertionError, match="close back"):
