@@ -13,13 +13,13 @@ from itertools import product
 
 from .errors import PreconditionError, UnsupportedOrderError
 from .groups import (
-    DicyclicGroup,
+    CyclicExtensionGroup,
     FiniteGroup,
-    SemidirectProductGroup,
     abelian,
     abelian_name,
     alternating,
     cyclic,
+    dicyclic,
     dihedral,
     direct_product,
     heisenberg,
@@ -40,29 +40,29 @@ def supported_orders() -> tuple[int, ...]:
     return tuple(sorted(KNOWN_GROUP_COUNTS))
 
 
-def frobenius20() -> SemidirectProductGroup:
+def frobenius20() -> CyclicExtensionGroup:
     """Order 20, a five-cycle twisted by an order-4 multiplier."""
-    return SemidirectProductGroup(cyclic(5), 4, power_map(5, 2), "F20")
+    return CyclicExtensionGroup(cyclic(5), 4, power_map(5, 2), name="F20")
 
 
-def frobenius21() -> SemidirectProductGroup:
+def frobenius21() -> CyclicExtensionGroup:
     """Order 21, a seven-cycle twisted by an order-3 multiplier."""
-    return SemidirectProductGroup(cyclic(7), 3, power_map(7, 2), "F21")
+    return CyclicExtensionGroup(cyclic(7), 3, power_map(7, 2), name="F21")
 
 
-def modular16() -> SemidirectProductGroup:
+def modular16() -> CyclicExtensionGroup:
     """The modular group of order 16: C8 twisted by the fifth-power map."""
-    return SemidirectProductGroup(cyclic(8), 2, power_map(8, 5), "M16")
+    return CyclicExtensionGroup(cyclic(8), 2, power_map(8, 5), name="M16")
 
 
-def semidihedral16() -> SemidirectProductGroup:
+def semidihedral16() -> CyclicExtensionGroup:
     """The semidihedral group of order 16: C8 twisted by the cube map."""
-    return SemidirectProductGroup(cyclic(8), 2, power_map(8, 3), "SD16")
+    return CyclicExtensionGroup(cyclic(8), 2, power_map(8, 3), name="SD16")
 
 
 _FAMILIES = {
     "dihedral": (1, lambda m: dihedral(m)),
-    "dicyclic": (1, lambda m: DicyclicGroup(m)),
+    "dicyclic": (1, lambda m: dicyclic(m)),
     "symmetric": (1, lambda m: symmetric(m)),
     "alternating": (1, lambda m: alternating(m)),
     "heisenberg": (1, lambda p: heisenberg(p)),
@@ -84,9 +84,9 @@ def standard_family(name: str, params: tuple[int, ...] = ()) -> FiniteGroup:
 
 
 def _order16() -> list[FiniteGroup]:
-    c4_on_c4 = SemidirectProductGroup(cyclic(4), 4, power_map(4, -1), "C4:C4")
+    c4_on_c4 = CyclicExtensionGroup(cyclic(4), 4, power_map(4, -1), name="C4:C4")
     swap = (0, 2, 1, 3)
-    v4_by_c4 = SemidirectProductGroup(abelian([2, 2]), 4, swap, "(C2xC2):C4")
+    v4_by_c4 = CyclicExtensionGroup(abelian([2, 2]), 4, swap, name="(C2xC2):C4")
     d8xc4 = direct_product(dihedral(8), cyclic(4))
     # the rotation square in the left factor paired with the square in the
     # right factor spans the order-2 subgroup glued over
@@ -98,11 +98,11 @@ def _order16() -> list[FiniteGroup]:
         abelian([4, 2, 2]),
         abelian([2, 2, 2, 2]),
         dihedral(16),
-        DicyclicGroup(16, "Q16"),
+        dicyclic(16, "Q16"),
         semidihedral16(),
         modular16(),
         direct_product(dihedral(8), cyclic(2), "D8xC2"),
-        direct_product(DicyclicGroup(8, "Q8"), cyclic(2), "Q8xC2"),
+        direct_product(dicyclic(8, "Q8"), cyclic(2), "Q8xC2"),
         c4_on_c4,
         v4_by_c4,
         glued,
@@ -115,13 +115,13 @@ def _order60() -> list[FiniteGroup]:
         abelian([2, 30], "C2xC30"),
         alternating(5),
         dihedral(60),
-        DicyclicGroup(60),
+        dicyclic(60),
         direct_product(cyclic(3), dihedral(20), "C3xD20"),
         direct_product(cyclic(5), dihedral(12), "C5xD12"),
-        direct_product(cyclic(3), DicyclicGroup(20), "C3xDic20"),
-        direct_product(cyclic(5), DicyclicGroup(12), "C5xDic12"),
+        direct_product(cyclic(3), dicyclic(20), "C3xDic20"),
+        direct_product(cyclic(5), dicyclic(12), "C5xDic12"),
         direct_product(cyclic(3), frobenius20(), "C3xF20"),
-        SemidirectProductGroup(cyclic(15), 4, power_map(15, 2), "C15:C4"),
+        CyclicExtensionGroup(cyclic(15), 4, power_map(15, 2), name="C15:C4"),
         direct_product(symmetric(3), dihedral(10), "S3xD10"),
         direct_product(cyclic(5), alternating(4), "C5xA4"),
     ]
@@ -141,13 +141,13 @@ def _build_catalog(n: int) -> list[FiniteGroup]:
     if n == 15:
         return [cyclic(15)]
     if n == 8:
-        return [cyclic(8), abelian([4, 2]), abelian([2, 2, 2]), dihedral(8), DicyclicGroup(8, "Q8")]
+        return [cyclic(8), abelian([4, 2]), abelian([2, 2, 2]), dihedral(8), dicyclic(8, "Q8")]
     if n == 12:
-        return [cyclic(12), abelian([2, 6], "C2xC6"), dihedral(12), DicyclicGroup(12), alternating(4)]
+        return [cyclic(12), abelian([2, 6], "C2xC6"), dihedral(12), dicyclic(12), alternating(4)]
     if n == 16:
         return _order16()
     if n == 20:
-        return [cyclic(20), abelian([2, 10], "C2xC10"), dihedral(20), DicyclicGroup(20), frobenius20()]
+        return [cyclic(20), abelian([2, 10], "C2xC10"), dihedral(20), dicyclic(20), frobenius20()]
     if n == 21:
         return [cyclic(21), frobenius21()]
     if n == 60:

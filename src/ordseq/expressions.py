@@ -13,11 +13,11 @@ from .catalog import frobenius20, frobenius21, group_by_name, modular16, semidih
 from .errors import ParseError, SizeLimitError
 from .fields import affine_frobenius_group, psl_3_4
 from .groups import (
-    DicyclicGroup,
     FiniteGroup,
     abelian,
     alternating,
     cyclic,
+    dicyclic,
     dihedral,
     direct_product,
     heisenberg,
@@ -137,11 +137,11 @@ def _atom(parser: _Parser):
     if head == "Dic":
         k = suffix()
         order = k if k % 4 == 0 else 4 * k
-        return order, lambda: DicyclicGroup(order)
+        return order, lambda: dicyclic(order)
     if text == "Q8":
-        return 8, lambda: DicyclicGroup(8, "Q8")
+        return 8, lambda: dicyclic(8, "Q8")
     if text == "Q16":
-        return 16, lambda: DicyclicGroup(16, "Q16")
+        return 16, lambda: dicyclic(16, "Q16")
     if head == "S" and tail:
         m = suffix()
         return parser.size(range(2, m + 1)), lambda: symmetric(m)

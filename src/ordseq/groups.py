@@ -5,8 +5,8 @@ Concrete backings supply `mul`, and one of at most TABLE_LIMIT elements
 may hand in its Cayley table built from its structure; everything else
 (inverses, element orders, closures, quotients, Sylow subgroups,
 isomorphism testing) is generic and works uniformly across backings.
-A cyclic group is the AbelianGroup of one modulus; dihedral and
-Heisenberg groups are SemidirectProductGroups.
+A cyclic group is the AbelianGroup of one modulus; dihedral, dicyclic
+and Heisenberg groups are CyclicExtensionGroups.
 
 Every construction checks its axioms when it is built.  A group of at
 most TABLE_LIMIT elements, and every TableGroup, is checked exactly on
@@ -447,18 +447,21 @@ class DirectProductGroup(FiniteGroup):
         return self.left.mul(a1, b1) * h + self.right.mul(a2, b2)
 
 
-class SemidirectProductGroup(FiniteGroup):
-    """Split extension of target by a cyclic group C_k whose generator acts
-    as the automorphism gen_perm.
+class CyclicExtensionGroup(FiniteGroup):
+    """Extension of target by C_k whose generator g acts as the automorphism
+    gen_perm and has g**k = z, an element of target; z = 0 is the split case.
 
-    Elements are pairs (n, h) with index n * k + h; h acts on the target
-    through the permutation gen_perm**h.
+    Elements x * g**i have index x * k + i, and (x g**i)(y g**j) is
+    x * gen_perm**i(y) * g**(i+j) with g**k replaced by z: a group when
+    gen_perm fixes z and gen_perm**k is conjugation by z (Hoelder).
     """
 
-    def __init__(self, target: FiniteGroup, k: int, gen_perm, name: str | None = None):
+    def __init__(self, target: FiniteGroup, k: int, gen_perm, z: int = 0, name: str | None = None):
         super().__init__(target.size * k, name)
         self.name = name or f"{target.name}:C{k}"
         n = target.size
+        if not 0 <= z < n:
+            raise PreconditionError(f"g**k = {z} is not an element of the target")
         gen_perm = tuple(gen_perm)
         if sorted(gen_perm) != list(range(n)):
             raise ActionNotAutomorphism("the generator does not permute the target")
@@ -476,50 +479,35 @@ class SemidirectProductGroup(FiniteGroup):
             for a, b in pairs:
                 if perm[mul(a, b)] != mul(perm[a], perm[b]):
                     raise ActionNotAutomorphism(f"acting element {h} breaks the product at ({a}, {b})")
-        if tuple(gen_perm[x] for x in perms[-1]) != perms[0]:
-            raise ActionNotHomomorphism(f"the generator's automorphism does not have order dividing {k}")
+        if gen_perm[z] != z:
+            raise ActionNotHomomorphism(f"the generator's automorphism moves g**k = {z}")
+        conj_z = perms[0] if z == 0 else tuple(target.conjugate(z, y) for y in range(n))
+        if tuple(gen_perm[x] for x in perms[-1]) != conj_z:
+            raise ActionNotHomomorphism(f"the generator's automorphism**{k} is not conjugation by {z}")
         self.target = target
         self.k = k
+        self.z = z
         self.perms = tuple(perms)
         if self.size <= TABLE_LIMIT:
+            # blocks[i][t] lists x g**i * y g**j over j < k for t = x * gen_perm**i(y); past g**k, t becomes t*z
+            times_z = [row[z] for row in target.table]
+            blocks = [
+                [(*range(t * k + i, t * k + k), *range(tz * k, tz * k + i)) for t, tz in enumerate(times_z)]
+                for i in range(k)
+            ]
             self.table = tuple(
-                tuple(x * k + (h1 + h2) % k for x in map(row.__getitem__, perm) for h2 in range(k))
+                tuple(chain.from_iterable(map(block.__getitem__, map(row.__getitem__, perm))))
                 for row in target.table
-                for h1, perm in enumerate(perms)
+                for block, perm in zip(blocks, perms)
             )
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:
         k = self.k
-        n1, h1 = divmod(a, k)
-        n2, h2 = divmod(b, k)
-        return self.target.mul(n1, self.perms[h1][n2]) * k + (h1 + h2) % k
-
-
-class DicyclicGroup(FiniteGroup):
-    """Group of order 4m with a of order 2m, b**2 = a**m and b a b' = a'.
-
-    Elements are a**i * b**j with index i * 2 + j.
-    """
-
-    def __init__(self, order: int, name: str | None = None):
-        m, r = divmod(order, 4)
-        if r or m < 1:
-            raise PreconditionError("dicyclic groups have order divisible by 4")
-        super().__init__(order, name)
-        self.name = name or f"Dic{order}"
-        self.m = m
-        self._finalize()
-
-    def mul(self, a: int, b: int) -> int:
-        i1, j1 = divmod(a, 2)
-        i2, j2 = divmod(b, 2)
-        tm = 2 * self.m
-        if j1 == 0:
-            return (i1 + i2) % tm * 2 + j2
-        if j2 == 0:
-            return (i1 - i2) % tm * 2 + 1
-        return (i1 - i2 + self.m) % tm * 2
+        x, i = divmod(a, k)
+        y, j = divmod(b, k)
+        x = self.target.mul(x, self.perms[i][y])
+        return (x if i + j < k else self.target.mul(x, self.z)) * k + (i + j) % k
 
 
 class PermutationGroup(FiniteGroup):
@@ -599,22 +587,32 @@ def dihedral(order: int) -> FiniteGroup:
     if order % 2 or order < 2:
         raise PreconditionError("dihedral groups have even order")
     m = order // 2
-    return SemidirectProductGroup(cyclic(m), 2, power_map(m, -1), name=f"D{order}")
+    return CyclicExtensionGroup(cyclic(m), 2, power_map(m, -1), name=f"D{order}")
 
 
-def heisenberg(p: int) -> SemidirectProductGroup:
+def dicyclic(order: int, name: str | None = None) -> CyclicExtensionGroup:
+    """Order 4m: a of order 2m, b**2 = a**m and b a b' = a'; a**i * b**j has index 2i + j."""
+    m, r = divmod(order, 4)
+    if r or m < 1:
+        raise PreconditionError("dicyclic groups have order divisible by 4")
+    if order > MAX_GROUP_SIZE:
+        raise SizeLimitError(f"group order exceeds the cap of {MAX_GROUP_SIZE}")
+    return CyclicExtensionGroup(cyclic(2 * m), 2, power_map(2 * m, -1), m, name=name or f"Dic{order}")
+
+
+def heisenberg(p: int) -> CyclicExtensionGroup:
     """Unitriangular 3x3 matrices over the prime field, for odd p.
 
     Entries (a, b, c) multiply by (a+a', b+b', c+c'+a*b').  This is C_p x C_p,
     holding (b, c), twisted by C_p, holding a, which acts as conjugation by
     the matrix does: (b, c) goes to (b, c + a*b).  The index is b*p**2 + c*p + a.
     """
-    if not is_prime(p) or p == 2:
-        raise PreconditionError("this construction needs an odd prime")
     if p**3 > MAX_GROUP_SIZE:
         raise SizeLimitError(f"group order exceeds the cap of {MAX_GROUP_SIZE}")
+    if not is_prime(p) or p == 2:
+        raise PreconditionError("this construction needs an odd prime")
     shear = tuple(b * p + (b + c) % p for b in range(p) for c in range(p))
-    return SemidirectProductGroup(abelian([p, p]), p, shear, name=f"Heis{p}")
+    return CyclicExtensionGroup(abelian([p, p]), p, shear, name=f"Heis{p}")
 
 
 def symmetric(m: int) -> PermutationGroup:

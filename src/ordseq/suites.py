@@ -23,7 +23,7 @@ from .catalog import (
 from .errors import NoWitness, PreconditionError
 from .fields import affine_frobenius_group, psl_3_4
 from .graphs import canonical_form, power_graph
-from .groups import DicyclicGroup, FiniteGroup, abelian, alternating, cyclic, direct_product
+from .groups import FiniteGroup, abelian, alternating, cyclic, dicyclic, direct_product
 from .numth import euler_phi, factorize, is_prime, prime_divisors
 from .partitions import (
     _box_move,
@@ -186,7 +186,7 @@ def suite_extension() -> SuiteReport:
     rep = SuiteReport("extension")
     triples = [
         (abelian([2, 2]), cyclic(3), alternating(4)),
-        (cyclic(3), cyclic(4), DicyclicGroup(12)),
+        (cyclic(3), cyclic(4), dicyclic(12)),
         (cyclic(5), cyclic(4), frobenius20()),
         (cyclic(7), cyclic(3), frobenius21()),
     ]
@@ -250,7 +250,7 @@ def _default_bound_cases():
     return [
         (1, [abelian([2, 2])]),
         (3, [abelian([2, 2])]),
-        (5, [DicyclicGroup(8, "Q8")]),
+        (5, [dicyclic(8, "Q8")]),
         (1, [abelian([2, 4])]),
         (1, [abelian([2, 2]), abelian([3, 3])]),
     ]

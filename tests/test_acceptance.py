@@ -10,10 +10,10 @@ import random
 from ordseq.catalog import catalog, nilpotent_groups_of_order, supported_orders
 from ordseq.fields import psl_3_4
 from ordseq.groups import (
-    DicyclicGroup,
     abelian,
     alternating,
     cyclic,
+    dicyclic,
     direct_product,
     symmetric,
 )
@@ -56,13 +56,13 @@ def test_criterion_01_order_sequences_of_walkthrough_groups():
     assert psi(c6) == 21
     assert rho(c6) == 648
     assert order_sequence(symmetric(3)).pairs == ((1, 1), (2, 3), (3, 2))
-    assert str(order_sequence(DicyclicGroup(12))) == "1:1,2:1,3:2,4:6,6:2"
+    assert str(order_sequence(dicyclic(12))) == "1:1,2:1,3:2,4:6,6:2"
     assert str(order_sequence(alternating(4))) == "1:1,2:3,3:8"
     _report(1, "order sequences of C6, S3, Dic12, A4 are exact")
 
 
 def test_criterion_02_domination_and_strong_domination():
-    dic12 = order_sequence(DicyclicGroup(12))
+    dic12 = order_sequence(dicyclic(12))
     a4 = order_sequence(alternating(4))
     c12 = order_sequence(cyclic(12))
     assert dominates(dic12, a4)
@@ -124,7 +124,7 @@ def test_criterion_06_psi_rho_gap_bounds():
     assert psi(order_sequence(cyclic(4))) == 11
     assert psi(order_sequence(abelian([2, 2]))) == 7
     assert rho(order_sequence(cyclic(8))) == 2**17
-    assert rho(order_sequence(DicyclicGroup(8))) == 2**13
+    assert rho(order_sequence(dicyclic(8))) == 2**13
     _report(6, "gap bounds hold everywhere; equality exactly at C2xC2, Q8, C3xC3")
 
 
@@ -145,7 +145,7 @@ def test_criterion_07_sharpened_rho_bound():
     assert lhs == rhs == 2**5
     lhs, rhs = bound_sides(3, [abelian([2, 2])])
     assert lhs == rhs
-    lhs, rhs = bound_sides(5, [DicyclicGroup(8)])
+    lhs, rhs = bound_sides(5, [dicyclic(8)])
     assert lhs <= rhs
     assert lhs == 2**65 * 5**32 * 2**20
     assert rhs == 2**85 * 5**32
@@ -235,7 +235,7 @@ def test_criterion_11_coprime_extensions():
 def test_criterion_12_smallest_antichains():
     rep = suite_antichain()
     assert rep.passed, rep.failures
-    assert not comparable(order_sequence(abelian([2, 6])), order_sequence(DicyclicGroup(12)))
+    assert not comparable(order_sequence(abelian([2, 6])), order_sequence(dicyclic(12)))
     assert not comparable(
         order_sequence(abelian([4, 3, 3])), order_sequence(abelian([2, 2, 9]))
     )

@@ -14,7 +14,7 @@ from ordseq.graphs import (
     power_graph,
     render_dot,
 )
-from ordseq.groups import DicyclicGroup, abelian, alternating, cyclic, dihedral, direct_product, heisenberg, symmetric
+from ordseq.groups import abelian, alternating, cyclic, dicyclic, dihedral, direct_product, heisenberg, symmetric
 from ordseq.sequences import order_sequence
 
 
@@ -31,7 +31,7 @@ def test_power_graph_klein_four_is_a_star():
     assert all(0 in edge for edge in g.edges)
 
 
-@pytest.mark.parametrize("group", [cyclic(6), symmetric(3), DicyclicGroup(12)])
+@pytest.mark.parametrize("group", [cyclic(6), symmetric(3), dicyclic(12)])
 def test_directed_power_graph_out_degrees(group):
     g = directed_power_graph(group)
     out = Counter(a for a, _ in g.edges)

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from ordseq import groups
 from ordseq.errors import (
     ActionNotAutomorphism,
     ActionNotHomomorphism,
@@ -16,16 +17,16 @@ from ordseq.fields import affine_frobenius_group
 from ordseq.groups import (
     TABLE_LIMIT,
     AbelianGroup,
-    DicyclicGroup,
+    CyclicExtensionGroup,
     DirectProductGroup,
     FiniteGroup,
     PermutationGroup,
-    SemidirectProductGroup,
     TableGroup,
     _right_generators,
     abelian,
     alternating,
     cyclic,
+    dicyclic,
     dihedral,
     direct_product,
     heisenberg,
@@ -78,7 +79,7 @@ def test_abelian_arithmetic_matches_digits(moduli):
 
 def test_dihedral_and_dicyclic_sequences():
     assert str(order_sequence(dihedral(12))) == "1:1,2:7,3:2,6:2"
-    assert str(order_sequence(DicyclicGroup(12))) == "1:1,2:1,3:2,4:6,6:2"
+    assert str(order_sequence(dicyclic(12))) == "1:1,2:1,3:2,4:6,6:2"
 
 
 def test_dihedral_rejects_odd_order():
@@ -88,7 +89,7 @@ def test_dihedral_rejects_odd_order():
 
 def test_dicyclic_needs_multiple_of_four():
     with pytest.raises(PreconditionError):
-        DicyclicGroup(6)
+        dicyclic(6)
 
 
 def test_symmetric_and_alternating():
@@ -126,7 +127,7 @@ def _row_search_inverse(g, a):
         lambda: abelian([5, 13]),
         lambda: direct_product(cyclic(3), abelian([3] * 3)),
         lambda: dihedral(130),
-        lambda: DicyclicGroup(68),
+        lambda: dicyclic(68),
         lambda: heisenberg(5),
         lambda: symmetric(5),
         lambda: affine_frobenius_group(2, 6, 7),
@@ -205,7 +206,7 @@ def test_sylow_and_nilpotency():
     assert len(s4.sylow_subgroup(2)) == 8
     assert len(s4.sylow_subgroup(3)) == 3
     assert not s4.is_nilpotent()
-    assert DicyclicGroup(8).is_nilpotent()
+    assert dicyclic(8).is_nilpotent()
     assert abelian([4, 3]).is_nilpotent()
     assert not symmetric(3).is_nilpotent()
 
@@ -224,7 +225,7 @@ def test_direct_product():
 
 
 def test_semidirect_inversion_gives_dihedral():
-    g = SemidirectProductGroup(cyclic(5), 2, power_map(5, -1))
+    g = CyclicExtensionGroup(cyclic(5), 2, power_map(5, -1))
     assert g.size == 10
     assert order_sequence(g) == order_sequence(dihedral(10))
 
@@ -232,16 +233,19 @@ def test_semidirect_inversion_gives_dihedral():
 def test_action_validation():
     # x -> 2x is not injective mod 4
     with pytest.raises(ActionNotAutomorphism):
-        SemidirectProductGroup(cyclic(4), 2, power_map(4, 2))
+        CyclicExtensionGroup(cyclic(4), 2, power_map(4, 2))
     # swapping 1 and 2 permutes C5 but breaks its sums
     with pytest.raises(ActionNotAutomorphism):
-        SemidirectProductGroup(cyclic(5), 2, (0, 2, 1, 3, 4))
+        CyclicExtensionGroup(cyclic(5), 2, (0, 2, 1, 3, 4))
     # doubling mod 5 is an automorphism of order 4, too big for C2
     with pytest.raises(ActionNotHomomorphism):
-        SemidirectProductGroup(cyclic(5), 2, power_map(5, 2))
+        CyclicExtensionGroup(cyclic(5), 2, power_map(5, 2))
     # the generator of C1 can only act trivially
     with pytest.raises(ActionNotHomomorphism):
-        SemidirectProductGroup(cyclic(5), 1, power_map(5, -1))
+        CyclicExtensionGroup(cyclic(5), 1, power_map(5, -1))
+    # inversion squares to the identity, conjugation by anything in C4, but moves g**2 = 1
+    with pytest.raises(ActionNotHomomorphism, match="moves"):
+        CyclicExtensionGroup(cyclic(4), 2, power_map(4, -1), 1)
 
 
 def _table_digest(g):
@@ -261,6 +265,13 @@ def _table_digest(g):
         (lambda: group_by_name(16, "C4:C4"), "eb14f1638176f5ad"),
         (lambda: group_by_name(16, "(C2xC2):C4"), "e465d445d84f7de5"),
         (lambda: group_by_name(60, "C15:C4"), "3e20ec69537362e7"),
+        # dicyclic groups, the non-split case g**2 = a**m
+        (lambda: group_by_name(8, "Q8"), "cdcc1f1db516e8c0"),
+        (lambda: group_by_name(12, "Dic12"), "faba70d8bb85a9da"),
+        (lambda: group_by_name(16, "Q16"), "bd3cd17be6dc6ed1"),
+        (lambda: group_by_name(20, "Dic20"), "73114af9bf4a2a5a"),
+        (lambda: group_by_name(60, "Dic60"), "20c98d650aef2057"),
+        (lambda: dicyclic(68), "34d79d2244dcb340"),
     ],
 )
 def test_semidirect_tables_are_pinned(build, digest):
@@ -268,13 +279,34 @@ def test_semidirect_tables_are_pinned(build, digest):
     assert _table_digest(build()) == digest
 
 
+def test_non_split_extension_of_a_non_abelian_target():
+    # S3 by C2, where g acts as conjugation by a 3-cycle r and g**2 = r**2:
+    # r**-1 * g is central of order 2, so this is S3 x C2, that is D12
+    s3 = symmetric(3)
+    r = s3.element_orders().index(3)
+    r2 = s3.mul(r, r)
+    alpha = tuple(s3.conjugate(r, y) for y in range(6))
+    assert alpha != tuple(range(6))
+    assert CyclicExtensionGroup(s3, 2, alpha, r2).is_isomorphic(dihedral(12))
+    # alpha**2 is conjugation by r**2, not the identity, so z = 0 fails
+    with pytest.raises(ActionNotHomomorphism):
+        CyclicExtensionGroup(s3, 2, alpha)
+    # alpha moves every transposition
+    t = s3.element_orders().index(2)
+    assert alpha[t] != t
+    with pytest.raises(ActionNotHomomorphism):
+        CyclicExtensionGroup(s3, 2, alpha, t)
+    with pytest.raises(PreconditionError, match="not an element"):
+        CyclicExtensionGroup(s3, 2, alpha, 6)
+
+
 def test_semidirect_samples_pairs_on_large_targets():
     # past 256 elements only a seeded sample of pairs is checked, for every power
     swap = list(range(300))
     swap[1], swap[2] = 2, 1
     with pytest.raises(ActionNotAutomorphism):
-        SemidirectProductGroup(cyclic(300), 2, swap)
-    g = SemidirectProductGroup(cyclic(257), 2, power_map(257, -1))
+        CyclicExtensionGroup(cyclic(300), 2, swap)
+    g = CyclicExtensionGroup(cyclic(257), 2, power_map(257, -1))
     assert str(order_sequence(g)) == "1:1,2:257,257:256"
 
 
@@ -282,7 +314,7 @@ def test_isomorphism_checks():
     assert cyclic(4).is_isomorphic(abelian([4]))
     assert not cyclic(4).is_isomorphic(abelian([2, 2]))
     assert dihedral(6).is_isomorphic(symmetric(3))
-    assert not dihedral(8).is_isomorphic(DicyclicGroup(8))
+    assert not dihedral(8).is_isomorphic(dicyclic(8))
 
 
 def test_isomorphism_search_decides_order16_pairs():
@@ -298,7 +330,7 @@ def test_permutation_group():
 
 
 def test_generating_sequence_closes():
-    for g in [cyclic(12), symmetric(3), DicyclicGroup(8)]:
+    for g in [cyclic(12), symmetric(3), dicyclic(8)]:
         gens = g.generating_sequence()
         assert set(g.closure(gens)) == set(range(g.size))
 
@@ -330,10 +362,17 @@ def test_heisenberg_is_the_unitriangular_group(p):
 
 
 def test_heisenberg_past_the_cap_builds_nothing(monkeypatch):
-    for cls in (AbelianGroup, SemidirectProductGroup):
+    for cls in (AbelianGroup, CyclicExtensionGroup):
         monkeypatch.setattr(cls, "__init__", lambda *args: pytest.fail("a group was built"))
     with pytest.raises(SizeLimitError):
         heisenberg(31)
+    # the cap comes before the primality test, whose trial division is slow
+    monkeypatch.setattr(groups, "is_prime", lambda p: pytest.fail("p was tested for primality"))
+    with pytest.raises(SizeLimitError):
+        heisenberg(10**14 + 31)
+    # C_12502 is under the cap, Dic25004 is not
+    with pytest.raises(SizeLimitError):
+        dicyclic(25004)
 
 
 @pytest.mark.parametrize("p, digest", [(3, "adfa20dfe6eef573"), (5, "ee14c4b1d022c2a3")])
@@ -349,7 +388,7 @@ def test_huge_orders_are_refused_by_size(default_int_str_limit):
     with pytest.raises(SizeLimitError):
         abelian([10**5000])
     with pytest.raises(SizeLimitError):
-        DicyclicGroup(4 * 10**5000)
+        dicyclic(4 * 10**5000)
 
 
 def _rows(g):
@@ -407,7 +446,7 @@ def test_a5_with_one_altered_entry_is_refused():
         (lambda: abelian([2, 2]), 12),
         (lambda: symmetric(3), 80),
         (lambda: cyclic(6), 80),
-        (lambda: DicyclicGroup(8), 252),
+        (lambda: dicyclic(8), 252),
     ],
 )
 def test_table_verdicts_match_brute_force_associativity(build, altered):
@@ -475,7 +514,7 @@ def test_table_limit_boundary():
 
 
 # the backings that build their Cayley tables from their structure
-_STRUCTURAL = (AbelianGroup, DirectProductGroup, SemidirectProductGroup, PermutationGroup)
+_STRUCTURAL = (AbelianGroup, DirectProductGroup, CyclicExtensionGroup, PermutationGroup)
 
 
 def test_structural_tables_match_their_mul():
@@ -486,7 +525,7 @@ def test_structural_tables_match_their_mul():
         abelian([1, 4]),
         direct_product(cyclic(1), symmetric(3)),
         direct_product(symmetric(3), cyclic(1)),
-        SemidirectProductGroup(cyclic(7), 1, range(7)),
+        CyclicExtensionGroup(cyclic(7), 1, range(7)),
         heisenberg(3),
         symmetric(1),
         alternating(2),

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from ordseq.catalog import catalog, supported_orders
 from ordseq.errors import LengthMismatch, ParseError, PreconditionError
-from ordseq.groups import DicyclicGroup, abelian, alternating, cyclic, direct_product, symmetric
+from ordseq.groups import abelian, alternating, cyclic, dicyclic, direct_product, symmetric
 from ordseq.partitions import abelian_order_sequence, partitions_of
 from ordseq.sequences import (
     OrderSequence,
@@ -87,7 +87,7 @@ def test_psi_rho_spot_values():
     assert psi(order_sequence(cyclic(4))) == 11
     assert psi(order_sequence(abelian([2, 2]))) == 7
     assert rho(order_sequence(cyclic(8))) == 2**17
-    assert rho(order_sequence(DicyclicGroup(8))) == 2**13
+    assert rho(order_sequence(dicyclic(8))) == 2**13
     assert rho(order_sequence(symmetric(3))) == 72
 
 
@@ -133,7 +133,7 @@ def test_dominates_needs_equal_length():
 
 
 def test_incomparable_pairs():
-    assert not comparable(order_sequence(abelian([2, 6])), order_sequence(DicyclicGroup(12)))
+    assert not comparable(order_sequence(abelian([2, 6])), order_sequence(dicyclic(12)))
     assert not comparable(
         order_sequence(abelian([4, 3, 3])), order_sequence(abelian([2, 2, 9]))
     )
@@ -141,7 +141,7 @@ def test_incomparable_pairs():
 
 def test_strong_domination_plan():
     top = order_sequence(cyclic(12))
-    low = order_sequence(DicyclicGroup(12))
+    low = order_sequence(dicyclic(12))
     ok, plan = strong_domination(top, low)
     assert ok
     assert sum(amount for _, _, amount in plan) == 12
@@ -155,7 +155,7 @@ def test_strong_domination_plan():
 
 
 def test_hall_certificate():
-    ok, cert = strong_domination(order_sequence(DicyclicGroup(12)), order_sequence(alternating(4)))
+    ok, cert = strong_domination(order_sequence(dicyclic(12)), order_sequence(alternating(4)))
     assert not ok
     assert cert.need == 8
     assert cert.have == 4
