@@ -7,8 +7,9 @@ mod p, which is exactly the elementary abelian group C_p**d on the same
 codes; multiplication reads exp/log tables over the lowest-coded
 primitive element, so every order up to FIELD_SIZE_LIMIT takes the same
 path.  The groups are the affine maps x -> a*x + b with a in a cyclic
-subgroup of the units, and PSL(3,4) as a permutation group on the 21
-points of its projective plane.
+subgroup of the units, as the field's additive group extended by that
+subgroup, and PSL(3,4) as a permutation group on the 21 points of its
+projective plane.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import NoSuchOrder, PreconditionError, SizeLimitError
-from .groups import AbelianGroup, FiniteGroup, PermutationGroup
+from .groups import AbelianGroup, CyclicExtensionGroup, PermutationGroup
 from .numth import factorize, is_prime
 
 FIELD_SIZE_LIMIT = 4096
@@ -47,11 +48,12 @@ def _poly_divisible(dividend, divisor, p: int) -> bool:
 class FiniteField:
     """Field with p**d elements and arithmetic on integer codes.
 
-    `add` and `neg` are the product and inverse of AbelianGroup([p] * d),
-    whose stride arithmetic adds the base-p digits mod p.  `mul`, `inv`
-    and `element_order` go through the discrete logarithm to the base of
-    the lowest-coded primitive element (Lidl & Niederreiter, Finite
-    Fields, ch. 9): exp[i] is its i-th power and log inverts exp.
+    `add` and `neg` are the product and inverse of `additive`, the
+    AbelianGroup([p] * d), whose stride arithmetic adds the base-p digits
+    mod p.  `mul`, `inv` and `element_order` go through the discrete
+    logarithm to the base of the lowest-coded primitive element (Lidl &
+    Niederreiter, Finite Fields, ch. 9): exp[i] is its i-th power and log
+    inverts exp.
     """
 
     def __init__(self, p: int, d: int):
@@ -63,9 +65,9 @@ class FiniteField:
         self.d = d
         self.order = p**d
         self.modulus = self._find_modulus()
-        additive = AbelianGroup([p] * d)
-        self.add = additive.mul
-        self.neg = additive.inv
+        self.additive = AbelianGroup([p] * d)
+        self.add = self.additive.mul
+        self.neg = self.additive.inv
         self._exp = self._primitive_powers()
         self._log = [0] * self.order
         for i, x in enumerate(self._exp):
@@ -159,36 +161,17 @@ def element_of_order(field: FiniteField, r: int) -> int:
     raise AssertionError("a cyclic unit group has elements of every dividing order")
 
 
-class AffineGroup(FiniteGroup):
-    """Maps x -> a*x + b over a finite field, with a in a chosen cyclic
-    subgroup of the units.
+def affine_frobenius_group(p: int, d: int, q: int) -> CyclicExtensionGroup:
+    """The affine maps x -> a*x + b over F_(p**d) with a of multiplicative order q.
 
-    An element (i, b) is the map x -> w**i * x + b for a fixed unit w;
-    the index is i * q + b.
+    This is the field's additive group extended by C_q, whose generator
+    multiplies by w, the lowest-coded unit of order q: the map
+    x -> w**i * x + b has index b * q + i.
     """
-
-    def __init__(self, field: FiniteField, mult_order: int, name: str | None = None):
-        w = element_of_order(field, mult_order)
-        q = field.order
-        super().__init__(mult_order * q, name or f"Aff({q},{mult_order})")
-        self.field = field
-        ws = [1]
-        for _ in range(mult_order - 1):
-            ws.append(field.mul(ws[-1], w))
-        self.ws = tuple(ws)
-        self._finalize()
-
-    def mul(self, x: int, y: int) -> int:
-        q = self.field.order
-        i1, b1 = divmod(x, q)
-        i2, b2 = divmod(y, q)
-        b = self.field.add(self.field.mul(self.ws[i1], b2), b1)
-        return (i1 + i2) % len(self.ws) * q + b
-
-
-def affine_frobenius_group(p: int, d: int, q: int) -> AffineGroup:
-    """The affine maps x -> a*x + b with a of multiplicative order q."""
-    return AffineGroup(make_field(p**d), q)
+    field = make_field(p**d)
+    w = element_of_order(field, q)
+    times_w = tuple(field.mul(w, x) for x in range(field.order))
+    return CyclicExtensionGroup(field.additive, q, times_w, name=f"Aff({field.order},{q})")
 
 
 @lru_cache(maxsize=None)

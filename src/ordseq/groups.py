@@ -2,18 +2,18 @@
 
 Every group is the set {0, ..., size-1} with 0 as the identity.
 Concrete backings supply `mul`, and one of at most TABLE_LIMIT elements
-may hand in its Cayley table built from its structure; everything else
+hands in its Cayley table built from its structure; everything else
 (inverses, element orders, closures, quotients, Sylow subgroups,
 isomorphism testing) is generic and works uniformly across backings.
-A cyclic group is the AbelianGroup of one modulus; dihedral, dicyclic
-and Heisenberg groups are CyclicExtensionGroups.
+A cyclic group is the AbelianGroup of one modulus; dihedral, dicyclic,
+Heisenberg and (in fields) affine groups are CyclicExtensionGroups.
 
-Every construction checks its axioms when it is built.  A group of at
-most TABLE_LIMIT elements, and every TableGroup, is checked exactly on
-its Cayley table (associativity by Light's test) and then multiplies by
-table lookup and reads its inverses off the table; a larger group gets
-seeded spot checks and takes its inverses from the power walk of
-element_orders.
+Every construction checks its axioms when it is built.  A group with a
+Cayley table, so every TableGroup and every group of at most TABLE_LIMIT
+elements, is checked exactly on it (associativity by Light's test) and
+then multiplies by table lookup and reads its inverses off the table; a
+larger group gets seeded spot checks and takes its inverses from the
+power walk of element_orders.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import random
 from collections import Counter
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 
 from .errors import (
@@ -146,15 +146,14 @@ class FiniteGroup:
     def _finalize(self) -> None:
         """Check the group axioms on the finished backing.
 
-        A TableGroup sets `table` first, at any size, as may a backing of
-        at most TABLE_LIMIT elements that builds it from its structure
-        (a product from its factors' tables); any other group of at most
-        TABLE_LIMIT elements fills it from `mul`.  On a table the checks
-        are exact: every row has a 0, every product is an index, 0 is a
-        two-sided identity, the right inverse of every g (where its row
-        has the 0) is a left inverse too, and Light's test proves
-        associativity.  Then `mul` and `inv` read the table.  A larger
-        group is spot-checked: the identity on every element,
+        A TableGroup sets `table` first, at any size, and every other
+        backing does so from its structure when it has at most
+        TABLE_LIMIT elements (a product from its factors' tables).  On a
+        table the checks are exact: every row has a 0, every product is an
+        index, 0 is a two-sided identity, the right inverse of every g
+        (where its row has the 0) is a left inverse too, and Light's test
+        proves associativity.  Then `mul` and `inv` read the table.  A
+        group without one is spot-checked: the identity on every element,
         associativity on a seeded sample of triples, and the inverses of
         the power walk on every element up to 4096 and on a seeded sample
         beyond.
@@ -162,11 +161,8 @@ class FiniteGroup:
         n = self.size
         rows = self.table
         if rows is None:
-            if n > TABLE_LIMIT:
-                self._spot_check()
-                return
-            mul = self.mul
-            rows = tuple(tuple(map(mul, repeat(a, n), range(n))) for a in range(n))
+            self._spot_check()
+            return
         invs = []
         for g, row in enumerate(rows):
             try:
@@ -468,14 +464,17 @@ class CyclicExtensionGroup(FiniteGroup):
         perms = [tuple(range(n))]
         for _ in range(k - 1):
             perms.append(tuple(gen_perm[x] for x in perms[-1]))
-        # a list, not an iterator: every power is checked on the same pairs
         if n <= _EXHAUSTIVE_PAIRS:
+            # exact for gen_perm, and every power of an automorphism is one
             pairs = [(a, b) for a in range(n) for b in range(n)]
+            powers = [(1, gen_perm)]
         else:
+            # a list, not an iterator: every power but the identity is checked on the same pairs
             draw = random.Random(0).randrange
             pairs = [(draw(n), draw(n)) for _ in range(_SPOT_SAMPLES)]
+            powers = list(enumerate(perms))[1:]
         mul = target.mul
-        for h, perm in enumerate(perms):
+        for h, perm in powers:
             for a, b in pairs:
                 if perm[mul(a, b)] != mul(perm[a], perm[b]):
                     raise ActionNotAutomorphism(f"acting element {h} breaks the product at ({a}, {b})")
@@ -486,13 +485,12 @@ class CyclicExtensionGroup(FiniteGroup):
             raise ActionNotHomomorphism(f"the generator's automorphism**{k} is not conjugation by {z}")
         self.target = target
         self.k = k
-        self.z = z
         self.perms = tuple(perms)
+        self.times_z = tuple(mul(t, z) for t in range(n))
         if self.size <= TABLE_LIMIT:
             # blocks[i][t] lists x g**i * y g**j over j < k for t = x * gen_perm**i(y); past g**k, t becomes t*z
-            times_z = [row[z] for row in target.table]
             blocks = [
-                [(*range(t * k + i, t * k + k), *range(tz * k, tz * k + i)) for t, tz in enumerate(times_z)]
+                [(*range(t * k + i, t * k + k), *range(tz * k, tz * k + i)) for t, tz in enumerate(self.times_z)]
                 for i in range(k)
             ]
             self.table = tuple(
@@ -507,7 +505,7 @@ class CyclicExtensionGroup(FiniteGroup):
         x, i = divmod(a, k)
         y, j = divmod(b, k)
         x = self.target.mul(x, self.perms[i][y])
-        return (x if i + j < k else self.target.mul(x, self.z)) * k + (i + j) % k
+        return (x if i + j < k else self.times_z[x]) * k + (i + j) % k
 
 
 class PermutationGroup(FiniteGroup):

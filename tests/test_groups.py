@@ -1,8 +1,11 @@
 import hashlib
+import importlib
+import pkgutil
 from collections import Counter
 
 import pytest
 
+import ordseq
 from ordseq import groups
 from ordseq.errors import (
     ActionNotAutomorphism,
@@ -517,6 +520,25 @@ def test_table_limit_boundary():
 _STRUCTURAL = (AbelianGroup, DirectProductGroup, CyclicExtensionGroup, PermutationGroup)
 
 
+def _verify_affine_groups():
+    # Aff(3,2), Aff(5,2), Aff(4,3) and Aff(7,3), the affine groups verify builds
+    return [affine_frobenius_group(*pdq) for pdq in ((3, 1, 2), (5, 1, 2), (2, 2, 3), (7, 1, 3))]
+
+
+def test_every_backing_is_a_table_or_structural():
+    # _finalize spot-checks any group without a table, so a backing that
+    # built none at TABLE_LIMIT or below would lose its exact checks unseen
+    for module in pkgutil.iter_modules(ordseq.__path__):
+        importlib.import_module(f"ordseq.{module.name}")
+    backings, todo = set(), list(FiniteGroup.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.startswith("ordseq."):
+            backings.add(cls)
+    assert backings == {TableGroup, *_STRUCTURAL}
+
+
 def test_structural_tables_match_their_mul():
     # the table handed to _finalize and the one the class's own mul fills agree entry by entry
     groups = [
@@ -531,6 +553,7 @@ def test_structural_tables_match_their_mul():
         alternating(2),
         dihedral(64),
         direct_product(cyclic(2), abelian([2] * 5)),
+        *_verify_affine_groups(),
     ]
     for n in supported_orders():
         if n <= TABLE_LIMIT:
@@ -556,6 +579,8 @@ def test_structural_backings_build_without_mul(monkeypatch):
             # past the cache, so every group is built here
             for name, g in catalog.__wrapped__(n):
                 assert g.table is not None, name
+    for g in _verify_affine_groups():
+        assert g.table is not None, g.name
     assert calls == []
     # past the limit the class's mul still serves the spot checks
     wide = direct_product(cyclic(3), abelian([3] * 3))
