@@ -4,7 +4,9 @@ Items compare through a user relation that must be reflexive and
 transitive on the items themselves; mutually comparable items are
 collapsed into one class.  The checks, the classes and the Hasse covers
 work on each row of the relation held as an int bitmask, so a step over
-a whole row is one big-int operation.
+a whole row is one big-int operation.  The Hasse covers are peeled off
+each up-set along a linear extension, one step per cover, and must close
+back to the relation, checked cover by cover in one backward pass.
 """
 
 from __future__ import annotations
@@ -75,32 +77,35 @@ def build_poset(items, leq) -> Poset:
 
 
 def hasse(poset: Poset) -> list[tuple[int, int]]:
-    """Cover pairs (lower, higher) of the transitive reduction.
+    """Cover pairs (lower, higher) of the transitive reduction, sorted.
 
-    b covers a when b is strictly above a and nothing lies strictly
-    between them: the strict up-set of a meets the strict down-set of b
-    nowhere.
+    Classes are renumbered along a linear extension (larger up-sets
+    first, since a class has a larger up-set than anything strictly above
+    it).  Then the lowest-numbered class left in a strict up-set is a
+    cover, and dropping it together with its own up-set leaves only what
+    is not above it: one step per cover.  The covers must close back to
+    the relation in one backward pass, which refuses any relation that is
+    not a partial order.
     """
     k = len(poset.names)
-    up = [_mask(row) for row in poset.relation]
-    above = [m & ~(1 << a) for a, m in enumerate(up)]
-    below = [0] * k
-    for a, m in enumerate(above):
-        for b in _bits(m):
-            below[b] |= 1 << a
-    covers = [(a, b) for a in range(k) for b in _bits(above[a]) if not above[a] & below[b]]
-    # the reduction must regenerate the original order
-    reach = [1 << a for a in range(k)]
-    for a, b in covers:
-        reach[a] |= 1 << b
-    for mid in range(k):
-        bit, via = 1 << mid, reach[mid]
-        for a in range(k):
-            if reach[a] & bit:
-                reach[a] |= via
+    rel = poset.relation
+    order = sorted(range(k), key=lambda a: -sum(rel[a]))
+    up = [_mask([rel[a][b] for b in order]) for a in order]
+    # reach[j] is still 0 for j < i, so a cover at an earlier position
+    # leaves reach[i] short of up[i] and fails the closure check
+    covers = []
+    reach = [0] * k
+    for i in reversed(range(k)):
+        reach[i] = 1 << i
+        rest = up[i] & ~(1 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            covers.append((order[i], order[j]))
+            reach[i] |= reach[j]
+            rest &= ~(up[j] | 1 << j)
     if reach != up:
         raise AssertionError("transitive reduction must close back to the relation")
-    return covers
+    return sorted(covers)
 
 
 def extremes(poset: Poset):

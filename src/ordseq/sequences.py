@@ -4,14 +4,15 @@ The order sequence of a group collects the orders of its elements as a
 multiset.  One sequence dominates another of the same length when, for
 every threshold, it has at most as many elements of order up to that
 threshold; it strongly dominates when the elements can be matched so
-that orders divide orders.  Strong domination is decided by an
-augmenting-path search over pairs of orders, which returns either a
-transport plan or a Hall certificate.
+that orders divide orders.  Strong domination is decided by a greedy
+matching of orders finished by an augmenting-path search over pairs of
+orders, which returns either a transport plan or a Hall certificate.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, ParseError, PreconditionError
@@ -153,27 +154,35 @@ def strong_domination(a: OrderSequence, b: OrderSequence):
     to one counted by a whose order it divides.  Returns (True, plan) with
     plan rows (a_order, b_order, amount) sorted, or (False, HallCertificate).
 
-    Equal orders are matched first.  Then a breadth-first search runs from
-    the a-orders with elements left: an a-order reaches each b-order
-    dividing it, and a b-order with none left leads on to the a-orders it
-    is matched with, since those matches can move.  Reaching a b-order
-    with elements left moves one amount along the path.  The plan is one
-    valid transport among possibly many.  The certificate is not a choice:
-    the a-orders a failed search reaches are the unique smallest set with
-    the largest shortfall, whatever matching was found.
+    A greedy start takes the b-orders largest first and matches each onto
+    the smallest a-orders it divides, so equal orders come first; when
+    the orders form a divisibility chain, the start is already a maximum
+    matching.  Then a breadth-first search runs from the a-orders with
+    elements left: an a-order reaches each b-order dividing it (listed
+    when a search first reaches it), and a b-order with none left leads
+    on to the a-orders it is matched with, since those matches can move.
+    Reaching a b-order with elements left moves one amount along the
+    path.  The plan is one valid transport among possibly many.  The
+    certificate is not a choice: the a-orders a failed search reaches are
+    the unique smallest set with the largest shortfall, whatever matching
+    was found.
     """
     if a.total != b.total:
         raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
     spare = dict(a.pairs)  # a-elements of each order not matched yet
     short = dict(b.pairs)  # b-elements of each order not matched yet
     sent = {e: {} for e in short}  # sent[e][d]: matches of b-order e to a-order d
-    targets = {d: [e for e in short if d % e == 0] for d in spare}
-    for d in spare:
-        if d in short:
-            amount = min(spare[d], short[d])
-            spare[d] -= amount
-            short[d] -= amount
-            sent[d][d] = amount
+    orders = a.orders
+    for e in reversed(b.orders):
+        for d in orders[bisect_left(orders, e):]:
+            if not short[e]:
+                break
+            if spare[d] and d % e == 0:
+                amount = min(spare[d], short[e])
+                spare[d] -= amount
+                short[e] -= amount
+                sent[e][d] = amount
+    targets = {}  # targets[d]: b-orders dividing d
     while True:
         queue = [d for d, m in spare.items() if m]
         if not queue:
@@ -182,6 +191,8 @@ def strong_domination(a: OrderSequence, b: OrderSequence):
         via_b = {}  # b-order -> a-order it was reached from
         end = None
         for d in queue:
+            if d not in targets:
+                targets[d] = [e for e in short if d % e == 0]
             for e in targets[d]:
                 if e in via_b:
                     continue

@@ -4,6 +4,7 @@ import pytest
 
 from ordseq.catalog import catalog, supported_orders
 from ordseq.errors import PreconditionError
+from ordseq.partitions import abelian_order_sequence, partitions_of
 from ordseq.posets import Poset, build_poset, extremes, hasse, render, sanitize_identifier
 from ordseq.sequences import dominates, order_sequence
 
@@ -72,6 +73,22 @@ def test_hasse_closure_check_rejects_non_transitive_relation():
         hasse(poset)
 
 
+@pytest.mark.parametrize(
+    "relation",
+    [
+        # a <= b, but b is not related to itself: peeling b must still drop b
+        ((True, True), (False, False)),
+        # a <= b and b <= a on two classes: a preorder, not a partial order
+        ((True, True), (True, True)),
+    ],
+    ids=["not-reflexive", "two-class-preorder"],
+)
+def test_hasse_refuses_relations_that_are_not_partial_orders(relation):
+    poset = Poset(("a", "b"), (("a",), ("b",)), relation)
+    with pytest.raises(AssertionError, match="close back"):
+        hasse(poset)
+
+
 def _brute_force_covers(poset):
     k = len(poset.names)
     rel = poset.relation
@@ -93,6 +110,15 @@ def test_hasse_matches_brute_force_on_catalog_posets(n):
 @pytest.mark.parametrize("n", [1, 12, 64, 360, 720])
 def test_hasse_matches_brute_force_on_divisor_posets(n):
     poset = _divisor_poset(n)
+    assert hasse(poset) == _brute_force_covers(poset)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_hasse_matches_brute_force_on_abelian_p_group_posets(n):
+    # the dominance order on partitions of n: long chains, many covers per class
+    items = [(",".join(map(str, lam)), abelian_order_sequence(2, lam)) for lam in partitions_of(n)]
+    poset = build_poset(items, lambda a, b: dominates(b, a))
+    assert len(poset.names) == len(items)
     assert hasse(poset) == _brute_force_covers(poset)
 
 

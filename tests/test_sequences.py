@@ -218,6 +218,31 @@ def test_strong_domination_evidence_checks_out():
     assert verdicts == {True, False}
 
 
+def test_strong_domination_moves_a_greedy_match():
+    # the greedy start sends 5 onto 10, so only an augmenting path matches the 2
+    a, b = OrderSequence({10: 1, 15: 1}), OrderSequence({2: 1, 5: 1})
+    ok, plan = strong_domination(a, b)
+    assert ok
+    assert _transport_violation(a, b, plan) is None
+    assert plan == [(10, 2, 1), (15, 5, 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_strong_domination_is_domination_on_abelian_p_groups(p):
+    # the orders form a divisibility chain, so Hall's condition is domination
+    pairs = 0
+    for n in range(1, 10):
+        seqs = [abelian_order_sequence(p, lam) for lam in partitions_of(n)]
+        for a in seqs:
+            for b in seqs:
+                ok, evidence = strong_domination(a, b)
+                assert ok == dominates(a, b), (a, b)
+                reason = _transport_violation(a, b, evidence) if ok else _hall_violation(a, b, evidence)
+                assert reason is None, (a, b, reason)
+                pairs += 1
+    assert pairs == 1818
+
+
 def test_strong_implies_domination():
     for n in (12, 16):
         seqs = [order_sequence(g) for _, g in catalog(n)]
