@@ -87,10 +87,10 @@ def _order16() -> list[FiniteGroup]:
     c4_on_c4 = CyclicExtensionGroup(cyclic(4), 4, power_map(4, -1), name="C4:C4")
     swap = (0, 2, 1, 3)
     v4_by_c4 = CyclicExtensionGroup(abelian([2, 2]), 4, swap, name="(C2xC2):C4")
-    d8xc4 = direct_product(dihedral(8), cyclic(4))
-    # the rotation square in the left factor paired with the square in the
-    # right factor spans the order-2 subgroup glued over
-    glued = d8xc4.quotient(d8xc4.closure([4 * 4 + 2]), "D8*C4")
+    # D8 glued to C4 over their centres: C4xC2, spanned by the rotation a
+    # and t = a*c' with index 2i + j for a**i * t**j, twisted by the
+    # reflection, which inverts a and fixes c, so (i, j) -> (2j - i, j)
+    central = CyclicExtensionGroup(abelian([4, 2]), 2, (0, 5, 6, 3, 4, 1, 2, 7), name="D8*C4")
     return [
         cyclic(16),
         abelian([8, 2]),
@@ -105,7 +105,7 @@ def _order16() -> list[FiniteGroup]:
         direct_product(dicyclic(8, "Q8"), cyclic(2), "Q8xC2"),
         c4_on_c4,
         v4_by_c4,
-        glued,
+        central,
     ]
 
 

@@ -310,23 +310,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = {ParseError: 2, SizeLimitError: 3, PreconditionError: 4, UnsupportedOrderError: 5}
+
+
 def _main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except UnsupportedOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main() -> None:

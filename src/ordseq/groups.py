@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
-from .numth import is_power_of, is_prime
+from .numth import is_power_of, is_prime, prime_divisors
 
 MAX_GROUP_SIZE = 25000
 ISO_SIZE_LIMIT = 2500
@@ -42,27 +42,25 @@ _SPOT_SAMPLES = 1000
 _EXHAUSTIVE_PAIRS = 256
 
 
-def _right_generators(rows) -> tuple[int, ...]:
-    """Indices whose right multiples reach every row index from 0.
-
-    Each index is the lowest one that the earlier ones do not reach, so
-    without the last one some index stays unreached.  In a table whose row and column 0
-    are the identity, the elements a with (x*a)*y = x*(a*y) for all x and
-    y are closed under products, so checking those laws for these
-    indices alone proves the table associative (Light's test; Clifford &
-    Preston, The Algebraic Theory of Semigroups, vol. 1, 1961, sec. 1.2).
+def _right_generators(candidates, mul) -> tuple[int, ...]:
+    """Each candidate, in order, that right multiplication by the ones kept
+    before does not reach from 0; without the last one kept, some element
+    stays unreached.  On a Cayley table whose row and column 0 are the
+    identity, the elements a with (x*a)*y = x*(a*y) for all x and y are
+    closed under products, so checking those laws for the kept indices
+    alone proves the table associative (Light's test; Clifford & Preston,
+    The Algebraic Theory of Semigroups, vol. 1, 1961, sec. 1.2).
     """
     gens: list[int] = []
     reached = [0]
     seen = {0}
-    for g in range(len(rows)):
+    for g in candidates:
         if g in seen:
             continue
         gens.append(g)
         for x in reached:
-            row = rows[x]
             for a in gens:
-                y = row[a]
+                y = mul(x, a)
                 if y not in seen:
                     seen.add(y)
                     reached.append(y)
@@ -178,7 +176,7 @@ class FiniteGroup:
         for g, h in enumerate(invs):
             if rows[h][g] != 0:
                 raise PreconditionError(f"{h} fails as the inverse of {g}")
-        for a in _right_generators(rows):
+        for a in _right_generators(elements, lambda x, a: rows[x][a]):
             right = itemgetter(*rows[a])
             for x, row in enumerate(rows):
                 if rows[row[a]] != right(row):
@@ -279,21 +277,11 @@ class FiniteGroup:
         return TableGroup(table, name or f"{self.name}/{len(s)}")
 
     def generating_sequence(self) -> tuple[int, ...]:
-        """A short generating list, greedily preferring high element orders."""
+        """A short generating list: _right_generators over the elements by falling order, ties by index."""
         if self._gens is None:
             orders = self.element_orders()
-            gens: list[int] = []
-            cur: tuple[int, ...] = (0,)
-            cur_set = {0}
-            while len(cur_set) < self.size:
-                best = -1
-                for g in range(self.size):
-                    if g not in cur_set and (best < 0 or orders[g] > orders[best]):
-                        best = g
-                gens.append(best)
-                cur = self.closure(gens)
-                cur_set = set(cur)
-            self._gens = tuple(gens)
+            ranked = sorted(range(self.size), key=orders.__getitem__, reverse=True)
+            self._gens = _right_generators(ranked, self.mul)
         return self._gens
 
     def is_abelian(self) -> bool:
@@ -301,37 +289,40 @@ class FiniteGroup:
         return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
 
     def sylow_subgroup(self, p: int) -> tuple[int, ...]:
-        """A Sylow p-subgroup, grown greedily from random p-elements.
+        """A Sylow p-subgroup, grown in one pass over the p-elements by index.
 
-        Any p-subgroup sits inside a Sylow subgroup and its normalizer there
-        is strictly larger, so a suitable extension element always exists.
+        The pass keeps an element x when x and the elements kept so far
+        generate a p-group, and stops once that subgroup has the full
+        p-part of the order.  A refused element stays refused: the
+        subgroup it was refused with only grows.  Suppose the pass ended
+        at a p-subgroup Q short of a Sylow subgroup S containing it.  In
+        the p-group S the normalizer of Q is larger than Q, so S has a
+        p-element y outside Q that normalizes Q, and Q<y> is a p-group.
+        When the pass reached y, y and the smaller subgroup it had then
+        lay in Q<y>, so y was kept: a contradiction.
         """
         if not is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         target = 1
         while self.size % (target * p) == 0:
             target *= p
-        if target == 1:
-            return (0,)
         orders = self.element_orders()
-        pool = [g for g in range(1, self.size) if is_power_of(orders[g], p)]
-        rng = random.Random(self.size * 31 + p)
-        cur = {0}
-        for _ in range(10000):
-            if len(cur) == target:
-                return tuple(sorted(cur))
-            x = pool[rng.randrange(len(pool))]
-            if x in cur:
-                continue
-            grown = self.closure(cur | {x})
-            if len(grown) <= target and is_power_of(len(grown), p):
-                cur = set(grown)
-        raise PreconditionError("Sylow subgroup search did not converge")
+        gens: list[int] = []
+        sub = {0}
+        for x in range(1, self.size):
+            if len(sub) == target:
+                break
+            if x not in sub and is_power_of(orders[x], p):
+                grown = self.closure(gens + [x])
+                if is_power_of(len(grown), p):
+                    gens.append(x)
+                    sub = set(grown)
+        if len(sub) != target:
+            raise AssertionError(f"the Sylow {p}-pass stopped at {len(sub)} of {target} elements")
+        return tuple(sorted(sub))
 
     def is_nilpotent(self) -> bool:
         """Whether every Sylow subgroup is normal, checked by conjugation."""
-        from .numth import prime_divisors
-
         return all(self.is_normal(self.sylow_subgroup(p)) for p in prime_divisors(self.size))
 
     def is_isomorphic(self, other: "FiniteGroup") -> bool:

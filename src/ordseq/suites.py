@@ -219,12 +219,10 @@ def suite_nilpotent_minimality(n: int) -> SuiteReport:
             rep.cases += 1
             # the Sylow exponents are read off the group's elements
             g = nilpotent_group(n, name)
+            orders = g.element_orders()
             for p in prime_divisors(n):
-                syl = g.subgroup(g.sylow_subgroup(p))
-                rep.require(
-                    syl.exponent() == p,
-                    f"minimal nilpotent {name} has a Sylow {p}-subgroup of exponent {syl.exponent()}",
-                )
+                exp = reduce(math.lcm, map(orders.__getitem__, g.sylow_subgroup(p)))
+                rep.require(exp == p, f"minimal nilpotent {name} has a Sylow {p}-subgroup of exponent {exp}")
     rep.note(f"minimal nilpotent classes: {', '.join(minimal)}")
     if nonnilpotent_order_witness(n) is None:
         rep.note("no non-nilpotent group at this order")
@@ -273,11 +271,10 @@ def suite_improved_nilpotent_bound(cases=None) -> SuiteReport:
             raise PreconditionError("the p-groups must live over distinct primes")
         if m < 1 or any(m % p == 0 for p in primes):
             raise PreconditionError("the cyclic part must be coprime to every p-group")
-        g = cyclic(m)
-        for pg in p_groups:
-            g = direct_product(g, pg)
-        size = g.size
-        lhs = rho(order_sequence(g))
+        # the product's sequence is the lcm-join of its factors'; it is not built
+        joined = reduce(seq_join, map(order_sequence, p_groups), cyclic_order_sequence(m))
+        size = joined.total
+        lhs = rho(joined)
         for p in primes:
             lhs *= p ** (size * (p - 1) // p)
         rhs = rho(cyclic_order_sequence(size))

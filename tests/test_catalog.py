@@ -18,6 +18,7 @@ from ordseq.catalog import (
     supported_orders,
 )
 from ordseq.errors import PreconditionError, UnsupportedOrderError
+from ordseq.groups import TableGroup, cyclic, dihedral, direct_product
 from ordseq.numth import factorize
 from ordseq.sequences import order_sequence
 
@@ -99,6 +100,21 @@ def test_order16_names():
         "C16", "C8xC2", "C4xC4", "C4xC2xC2", "C2xC2xC2xC2", "D16", "Q16",
         "SD16", "M16", "D8xC2", "Q8xC2", "C4:C4", "(C2xC2):C4", "D8*C4",
     }
+
+
+def test_central_product_matches_the_quotient():
+    # D8*C4 is D8xC4 with the rotation square (index 4 in D8) and the
+    # square in C4 identified; the pair has index 4 * |C4| + 2
+    d8xc4 = direct_product(dihedral(8), cyclic(4))
+    glued = d8xc4.quotient(d8xc4.closure([4 * 4 + 2]))
+    matches = [name for name, g in catalog(16) if g.is_isomorphic(glued)]
+    assert matches == ["D8*C4"]
+
+
+def test_no_catalog_group_is_a_table():
+    for n in supported_orders():
+        for name, g in catalog(n):
+            assert not isinstance(g, TableGroup), (n, name)
 
 
 def test_order60_names():

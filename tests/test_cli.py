@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import ordseq
-from ordseq.cli import _format_rho, _main
+from ordseq import errors
+from ordseq.cli import _EXIT_CODES, _format_rho, _main
 
 STRETCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "stretch.json"
 
@@ -195,6 +196,18 @@ def test_non_positive_orders_exit_4(capsys, argv):
     assert code == 4
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_every_error_class_has_an_exit_code():
+    # an OrdseqError outside every key would reach the user as a traceback
+    concrete = [
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.OrdseqError) and cls is not errors.OrdseqError
+    ]
+    assert errors.UnsupportedOrderError in concrete
+    for cls in concrete:
+        assert any(issubclass(cls, key) for key in _EXIT_CODES), cls.__name__
 
 
 def test_verify_all(capsys):

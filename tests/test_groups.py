@@ -37,6 +37,7 @@ from ordseq.groups import (
     symmetric,
 )
 from ordseq.partitions import abelian_order_sequence
+from ordseq.numth import factorize, prime_divisors
 from ordseq.sequences import cyclic_order_sequence, order_sequence
 
 
@@ -338,6 +339,47 @@ def test_generating_sequence_closes():
         assert set(g.closure(gens)) == set(range(g.size))
 
 
+def _structure_groups():
+    """Every catalog group, then larger groups of several backings."""
+    return [g for n in supported_orders() for _, g in catalog(n)] + [
+        symmetric(5),
+        alternating(6),
+        symmetric(6),
+        heisenberg(5),
+        affine_frobenius_group(2, 6, 63),
+        affine_frobenius_group(3, 4, 80),
+        direct_product(symmetric(4), alternating(5)),
+    ]
+
+
+def _argmax_generating_sequence(g):
+    """Repeatedly add the lowest-index element of highest order outside the closure so far."""
+    orders = g.element_orders()
+    gens, cur = [], {0}
+    while len(cur) < g.size:
+        best = -1
+        for x in range(g.size):
+            if x not in cur and (best < 0 or orders[x] > orders[best]):
+                best = x
+        gens.append(best)
+        cur = set(g.closure(gens))
+    return tuple(gens)
+
+
+def test_generating_sequence_matches_the_argmax_walk():
+    for g in _structure_groups():
+        assert g.generating_sequence() == _argmax_generating_sequence(g), g.name
+
+
+def test_sylow_subgroups_have_the_full_p_part():
+    for g in _structure_groups():
+        for p in prime_divisors(g.size):
+            syl = g.sylow_subgroup(p)
+            assert g.is_subgroup(syl), (g.name, p)
+            assert len(syl) == p ** dict(factorize(g.size))[p], (g.name, p)
+        assert g.sylow_subgroup(7 if g.size % 7 else 101) == (0,)
+
+
 def test_heisenberg():
     g = heisenberg(3)
     assert g.size == 27
@@ -485,7 +527,7 @@ def test_light_test_checks_every_generator():
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     rows = [[x * 3 + (c + d) % 3 for x in top for d in range(3)] for top in loop for c in range(3)]
     n = len(rows)
-    assert _right_generators(rows)[0] == 1
+    assert _right_generators(range(n), lambda x, a: rows[x][a])[0] == 1
     assert all(rows[rows[x][1]][y] == rows[x][rows[1][y]] for x in range(n) for y in range(n))
     assert not _associative(rows)
     with pytest.raises(PreconditionError, match="associativity"):
@@ -497,7 +539,7 @@ def test_right_generators_reach_everything_and_none_is_spare():
         if n > TABLE_LIMIT:
             continue
         for name, g in catalog(n):
-            gens = _right_generators(g.table)
+            gens = _right_generators(range(n), lambda x, a: g.table[x][a])
             assert _right_closure(g.table, gens) == set(range(n)), name
             if gens:
                 assert len(_right_closure(g.table, gens[:-1])) < n, name

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,13 +15,14 @@ from ordseq.catalog import (
     supported_orders,
 )
 from ordseq.errors import NoWitness, PreconditionError
-from ordseq.groups import FiniteGroup, abelian, cyclic
-from ordseq.numth import is_prime, prime_divisors
+from ordseq.groups import FiniteGroup, abelian, cyclic, direct_product
+from ordseq.numth import is_prime
 from ordseq.partitions import box_move_chain, conjugate, majorizes, partitions_of
-from ordseq.sequences import nilpotent_from_sequence, order_sequence
+from ordseq.sequences import cyclic_order_sequence, nilpotent_from_sequence, order_sequence, seq_join
 from ordseq.suites import (
     SUITES,
     SuiteReport,
+    _default_bound_cases,
     _partition_facts,
     minimal_nonnilpotent_group,
     nonnilpotent_order_witness,
@@ -151,6 +153,13 @@ def test_improved_bound_suite():
     rep = suite_improved_nilpotent_bound([(1, [abelian([2, 4])])])
     assert rep.passed
     assert any("strict" in note for note in rep.notes)
+
+
+def test_improved_bound_closed_form_matches_the_built_product():
+    # the suite joins the factors' sequences instead of building C_m x P...
+    for m, p_groups in _default_bound_cases():
+        joined = reduce(seq_join, map(order_sequence, p_groups), cyclic_order_sequence(m))
+        assert joined == order_sequence(reduce(direct_product, p_groups, cyclic(m)))
 
 
 def test_improved_bound_preconditions():
@@ -307,12 +316,10 @@ def test_nilpotent_minimality_builds_only_the_minimal_products(builds, n):
     rep = suite_nilpotent_minimality(n)
     built = list(builds)
     builds.clear()
-    # each minimal product and its Sylow subgroups, then the witness group
+    # each minimal product, then the witness group
     classes = rep.notes[0].removeprefix("minimal nilpotent classes: ").split(", ")
     for name in "=".join(classes).split("="):
-        g = nilpotent_group(n, name)
-        for p in prime_divisors(n):
-            g.subgroup(g.sylow_subgroup(p))
+        nilpotent_group(n, name)
     if witness:
         minimal_nonnilpotent_group(n)
     assert built == builds
