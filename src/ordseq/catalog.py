@@ -175,32 +175,36 @@ def group_by_name(n: int, name: str) -> FiniteGroup:
     raise UnsupportedOrderError(f"order {n} has no catalog entry named {name}")
 
 
+def _abelian_factors(p: int, a: int) -> list:
+    """Each abelian group of order p**a as (name, order sequence, moduli), one per partition of a."""
+    out = []
+    for shape in partitions_of(a):
+        moduli = tuple(p**part for part in shape)
+        out.append((abelian_name(moduli), abelian_order_sequence(p, shape), moduli))
+    return out
+
+
 def _sylow_factors(p: int, a: int) -> list:
     """Each group of order p**a as (name, order sequence, build), in listing order."""
-    if a == 1:
-        return [(f"C{p}", abelian_order_sequence(p, (1,)), lambda: cyclic(p))]
-    if a == 2:
-        return [
-            (f"C{p * p}", abelian_order_sequence(p, (2,)), lambda: cyclic(p * p)),
-            (abelian_name((p, p)), abelian_order_sequence(p, (1, 1)), lambda: abelian([p, p])),
-        ]
+    if a <= 2:
+        return [(name, seq, lambda m=moduli: abelian(m)) for name, seq, moduli in _abelian_factors(p, a)]
     if p == 2 and a in (3, 4):
         return [(name, order_sequence(g), lambda g=g: g) for name, g in catalog(2**a)]
     raise UnsupportedOrderError(f"no complete p-group list for {p}**{a}")
 
 
-def _joined(seqs) -> OrderSequence:
-    """The sequence of a direct product from its factors' sequences; C1's for none."""
-    return reduce(seq_join, seqs, OrderSequence({1: 1}))
+def _products(n: int, factors):
+    """One tuple of factors(p, a), one factor per prime power p**a of n, for each group in listing order."""
+    return product(*[factors(p, a) for p, a in factorize(n)])
 
 
-def _nilpotent_types(n: int):
-    """One tuple of Sylow factors, one factor per prime, for each nilpotent group of order n."""
-    return product(*[_sylow_factors(p, a) for p, a in factorize(n)])
-
-
-def _nilpotent_name(factors) -> str:
+def _product_name(factors) -> str:
     return "x".join(name for name, _, _ in factors) or "C1"
+
+
+def _joined(factors) -> OrderSequence:
+    """The sequence of a direct product, the lcm-join of its factors' sequences; C1's for none."""
+    return reduce(seq_join, (seq for _, seq, _ in factors), OrderSequence({1: 1}))
 
 
 def _nilpotent_build(factors) -> FiniteGroup:
@@ -211,7 +215,7 @@ def _nilpotent_build(factors) -> FiniteGroup:
 @lru_cache(maxsize=None)
 def nilpotent_groups_of_order(n: int) -> tuple[FiniteGroup, ...]:
     """All nilpotent groups of order n: products of one group per prime."""
-    return tuple(_nilpotent_build(factors) for factors in _nilpotent_types(n))
+    return tuple(map(_nilpotent_build, _products(n, _sylow_factors)))
 
 
 def nilpotent_sequences_of_order(n: int) -> tuple[tuple[str, OrderSequence], ...]:
@@ -220,27 +224,22 @@ def nilpotent_sequences_of_order(n: int) -> tuple[tuple[str, OrderSequence], ...
     A nilpotent group is the direct product of its Sylow subgroups, so its
     sequence is the lcm-join of theirs; no product is built.
     """
-    return tuple((_nilpotent_name(factors), _joined(s for _, s, _ in factors)) for factors in _nilpotent_types(n))
+    return tuple((_product_name(factors), _joined(factors)) for factors in _products(n, _sylow_factors))
 
 
 def nilpotent_group(n: int, name: str) -> FiniteGroup:
     """The group of nilpotent_groups_of_order(n) with this name, built on its own."""
-    for factors in _nilpotent_types(n):
-        if _nilpotent_name(factors) == name:
+    for factors in _products(n, _sylow_factors):
+        if _product_name(factors) == name:
             return _nilpotent_build(factors)
     raise UnsupportedOrderError(f"order {n} has no nilpotent group named {name}")
-
-
-def _abelian_types(n: int):
-    """(moduli, ((p, partition), ...)) for each abelian group of order n, in listing order."""
-    for combo in product(*[[(p, shape) for shape in partitions_of(a)] for p, a in factorize(n)]):
-        yield tuple(p**part for p, shape in combo for part in shape), combo
 
 
 @lru_cache(maxsize=None)
 def abelian_groups_of_order(n: int) -> tuple[FiniteGroup, ...]:
     """All abelian groups of order n via partitions of each prime exponent."""
-    return tuple(abelian(moduli) for moduli, _ in _abelian_types(n))
+    products = _products(n, _abelian_factors)
+    return tuple(abelian([m for _, _, moduli in factors for m in moduli]) for factors in products)
 
 
 def abelian_sequences_of_order(n: int) -> tuple[tuple[str, OrderSequence], ...]:
@@ -249,10 +248,7 @@ def abelian_sequences_of_order(n: int) -> tuple[tuple[str, OrderSequence], ...]:
     Each Sylow subgroup's sequence is the closed form of its partition and
     the group's is their lcm-join; no group is built.
     """
-    return tuple(
-        (abelian_name(moduli), _joined(abelian_order_sequence(p, shape) for p, shape in combo))
-        for moduli, combo in _abelian_types(n)
-    )
+    return tuple((_product_name(factors), _joined(factors)) for factors in _products(n, _abelian_factors))
 
 
 def elementary_product(n: int) -> FiniteGroup:

@@ -604,10 +604,20 @@ def heisenberg(p: int) -> CyclicExtensionGroup:
     return CyclicExtensionGroup(abelian([p, p]), p, shear, name=f"Heis{p}")
 
 
+def _check_factorial_order(m: int, d: int) -> None:
+    """Raise SizeLimitError when m!/d exceeds MAX_GROUP_SIZE, multiplying only until it does."""
+    order = 1
+    for k in range(2, m + 1):
+        order *= k
+        if order > d * MAX_GROUP_SIZE:
+            raise SizeLimitError(f"group order exceeds the cap of {MAX_GROUP_SIZE}")
+
+
 def symmetric(m: int) -> PermutationGroup:
     """Symmetric group on m points."""
     if m < 1:
         raise PreconditionError("need at least one point")
+    _check_factorial_order(m, 1)
     if m == 1:
         return PermutationGroup(1, [], name="S1")
     swap = list(range(m))
@@ -620,6 +630,7 @@ def alternating(m: int) -> PermutationGroup:
     """Alternating group on m points, generated by 3-cycles through 0 and 1."""
     if m < 1:
         raise PreconditionError("need at least one point")
+    _check_factorial_order(m, 2)
     if m < 3:
         return PermutationGroup(m, [], name=f"A{m}")
     gens = []

@@ -81,22 +81,26 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def abelian_order_sequence(p: int, a) -> OrderSequence:
-    """Order sequence of the abelian p-group with cyclic factors p**a_i.
+def _element_counts(p: int, a) -> list[int]:
+    """Elements of order p**j, for j = 1, 2, ..., in the abelian p-group of type a.
 
-    The count of elements of order dividing p**j is p to the j-th prefix
-    sum of the conjugate partition.
+    p to the j-th prefix sum of the conjugate partition counts the
+    elements of order dividing p**j (Macdonald, Symmetric Functions and
+    Hall Polynomials, II.1), so each layer is the rise from the last.
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    a = partition(a)
-    counts = {1: 1}
-    sigma = 0
-    for j, s in enumerate(conjugate(a), start=1):
-        prev = sigma
-        sigma += s
-        counts[p**j] = p**sigma - p**prev
-    return OrderSequence(counts)
+    counts = []
+    below = 1
+    for sigma in accumulate(conjugate(a)):
+        counts.append(p**sigma - below)
+        below = p**sigma
+    return counts
+
+
+def abelian_order_sequence(p: int, a) -> OrderSequence:
+    """Order sequence of the abelian p-group with cyclic factors p**a_i."""
+    return OrderSequence([(1, 1), *((p**j, c) for j, c in enumerate(_element_counts(p, a), start=1))])
 
 
 @dataclass(frozen=True)
@@ -116,28 +120,11 @@ class CyclicCounts:
 
 
 def cyclic_subgroup_counts(p: int, a) -> CyclicCounts:
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    """Cyclic subgroup statistics of type a; one of order p**j has p**(j-1) * (p-1) generators."""
     a = partition(a)
-    s = conjugate(a)
-    element_counts = []
-    subgroup_counts = []
-    sigma = 0
-    for j, sj in enumerate(s, start=1):
-        elems = p**sigma * (p**sj - 1)
-        sigma += sj
-        element_counts.append(elems)
-        phi = p ** (j - 1) * (p - 1)
-        if elems % phi:
-            raise AssertionError("order-p**j elements split evenly into cyclic subgroups")
-        subgroup_counts.append(elems // phi)
-    part_product = math.prod(x + 1 for x in a)
-    return CyclicCounts(
-        element_counts=tuple(element_counts),
-        subgroup_counts=tuple(subgroup_counts),
-        total=1 + sum(subgroup_counts),
-        part_product=part_product,
-    )
+    elems = _element_counts(p, a)
+    subs = tuple(c // (p ** (j - 1) * (p - 1)) for j, c in enumerate(elems, start=1))
+    return CyclicCounts(tuple(elems), subs, 1 + sum(subs), math.prod(x + 1 for x in a))
 
 
 def box_move_chain(b, c) -> list[tuple[int, ...]]:
@@ -185,42 +172,27 @@ def _box_move(cur, c) -> tuple[int, ...]:
 def defining_partition(seq: OrderSequence, p: int) -> tuple[int, ...]:
     """Invert abelian_order_sequence: recover the partition from a sequence.
 
-    Raises NotAbelianPGroupSequence when no abelian p-group fits.
+    The walk of _element_counts runs backwards: the floor log base p of
+    the count of elements of order dividing p**j rises by the j-th part
+    of the candidate's conjugate.  The candidate is returned only when
+    its own sequence is seq, else NotAbelianPGroupSequence is raised.
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    if seq.multiplicity(1) != 1:
-        raise NotAbelianPGroupSequence("a group has exactly one identity")
-    js = []
-    for d, _ in seq.pairs:
-        if d == 1:
-            continue
-        j = 0
-        while d % p == 0:
-            d //= p
-            j += 1
-        if d != 1:
-            raise NotAbelianPGroupSequence("every order must be a power of the prime")
-        js.append(j)
-    if js != list(range(1, len(js) + 1)):
-        raise NotAbelianPGroupSequence("orders must be consecutive powers of the prime")
-    s = []
-    cum = 1
-    sigma = 0
-    for j in js:
-        cum += seq.multiplicity(p**j)
-        # the count of elements of order dividing p**j must be a p-power
-        step = 0
-        t = cum
-        while t % p == 0:
-            t //= p
-            step += 1
-        if t != 1:
-            raise NotAbelianPGroupSequence(f"{cum} elements of order dividing p**{j} is not a p-power")
-        if step <= sigma:
-            raise NotAbelianPGroupSequence("cumulative counts must strictly increase")
-        s.append(step - sigma)
-        sigma = step
-    if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
-        raise NotAbelianPGroupSequence("layer sizes must be non-increasing")
-    return conjugate(tuple(s))
+    rises = []
+    below = seq.multiplicity(1)  # in the loop: the elements of order dividing q
+    reach = 1  # p to the sum of the rises so far
+    q = p
+    while q <= seq.pairs[-1][0]:
+        below += seq.multiplicity(q)
+        rise = 0
+        while reach * p <= below:
+            reach *= p
+            rise += 1
+        rises.append(rise)
+        q *= p
+    # sorted and without zeros the rises always form a partition; the round trip decides
+    candidate = conjugate(sorted(filter(None, rises), reverse=True))
+    if abelian_order_sequence(p, candidate) != seq:
+        raise NotAbelianPGroupSequence(f"{seq} is not the order sequence of an abelian {p}-group")
+    return candidate

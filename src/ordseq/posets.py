@@ -127,13 +127,15 @@ def render(poset: Poset, fmt: str = "dot") -> str:
     members = [poset.members[i] for i in order]
     if fmt == "dot":
         ids = []
-        used: dict[str, int] = {}
         for name in names:
-            ident = sanitize_identifier(name)
-            if ident[0].isdigit():
-                ident = "n_" + ident
-            used[ident] = used.get(ident, 0) + 1
-            ids.append(ident if used[ident] == 1 else f"{ident}_{used[ident]}")
+            base = sanitize_identifier(name)
+            if base[0].isdigit():
+                base = "n_" + base
+            ident, k = base, 1
+            while ident in ids:
+                k += 1
+                ident = f"{base}_{k}"
+            ids.append(ident)
         lines = ["digraph {", "  rankdir=BT;"]
         for ident, name in zip(ids, names):
             label = name.replace('"', "'")

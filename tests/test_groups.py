@@ -420,6 +420,17 @@ def test_heisenberg_past_the_cap_builds_nothing(monkeypatch):
         dicyclic(25004)
 
 
+def test_permutation_families_past_the_cap_build_nothing(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(PermutationGroup, "__init__", lambda *args: pytest.fail("a group was built"))
+        # 8! and 9!/2 are past the cap; 2000! is never multiplied out
+        for build, m_points in ((symmetric, 8), (symmetric, 2000), (alternating, 9)):
+            with pytest.raises(SizeLimitError, match="group order exceeds the cap"):
+                build(m_points)
+    assert symmetric(7).size == 5040
+    assert alternating(8).size == 20160
+
+
 @pytest.mark.parametrize("p, digest", [(3, "adfa20dfe6eef573"), (5, "ee14c4b1d022c2a3")])
 def test_heisenberg_tables_are_pinned(p, digest):
     # (a, b, c) has index b*p**2 + c*p + a; graph outputs of Heis(p) follow this numbering

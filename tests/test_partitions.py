@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -22,7 +24,7 @@ from ordseq.partitions import (
     partitions_of,
 )
 from ordseq.numth import euler_phi
-from ordseq.sequences import order_sequence, parse_sequence
+from ordseq.sequences import OrderSequence, order_sequence, parse_sequence
 
 
 def test_partition_validation():
@@ -111,6 +113,20 @@ def test_cyclic_counts_agree_with_sequence():
             assert count == s.multiplicity(3**j)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_cyclic_counts_match_the_built_group(p):
+    # independent of the closed form: count the distinct cyclic subgroups of the built group
+    for n in range(7):
+        for lam in partitions_of(n):
+            if p**n > 64:
+                continue
+            g = abelian([p**k for k in lam])
+            by_size = Counter(len(c) for c in {frozenset(g.closure([x])) for x in range(g.size)})
+            c = cyclic_subgroup_counts(p, lam)
+            assert c.subgroup_counts == tuple(by_size[p**j] for j in range(1, len(c.subgroup_counts) + 1))
+            assert c.total == sum(by_size.values())
+
+
 def _part_product(parts):
     return math.prod(r + 1 for r in parts)
 
@@ -179,6 +195,38 @@ def test_defining_partition_round_trip(p):
     for n in range(1, 7):
         for lam in partitions_of(n):
             assert defining_partition(abelian_order_sequence(p, lam), p) == lam
+
+
+def _perturbed(rng, seq, p):
+    """seq with one order or multiplicity nudged, one order dropped, or one order added."""
+    pairs = [list(pair) for pair in seq.pairs]
+    i = rng.randrange(len(pairs))
+    move = rng.randrange(4)
+    if move == 0:
+        pairs[i][1] = max(1, pairs[i][1] + rng.choice([-p, -1, 1, p, p * p - 1]))
+    elif move == 1:
+        pairs[i][0] *= rng.choice([2, 3, p])
+    elif move == 2 and len(pairs) > 1:
+        del pairs[i]
+    else:
+        pairs.append([pairs[-1][0] * p, rng.randrange(1, 3 * p**3)])
+    return OrderSequence(pairs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_defining_partition_inverts_exactly(p):
+    rng = random.Random(p)
+    for n in range(8):
+        for lam in partitions_of(n):
+            seq = abelian_order_sequence(p, lam)
+            assert defining_partition(seq, p) == lam
+            for _ in range(10):
+                fake = _perturbed(rng, seq, p)
+                try:
+                    found = defining_partition(fake, p)
+                except NotAbelianPGroupSequence:
+                    continue
+                assert abelian_order_sequence(p, found) == fake
 
 
 def test_defining_partition_rejects_non_p_groups():

@@ -150,6 +150,17 @@ def test_render_dot_numeric_names():
     assert "n_12" in text
 
 
+def test_render_dot_ids_are_distinct_when_suffixes_collide():
+    # "a b" and "a_b" both sanitize to a_b, and the bumped a_b_2 is also a literal name
+    poset = build_poset([("a b", 1), ("a_b", 2), ("a_b_2", 3)], lambda x, y: x <= y)
+    lines = render(poset, "dot").splitlines()
+    ids = [line.split()[0] for line in lines if "[label=" in line]
+    edges = [line.strip().rstrip(";").split(" -> ") for line in lines if " -> " in line]
+    assert len(ids) == len(set(ids)) == 3
+    assert len(edges) == 2
+    assert all(a != b and {a, b} <= set(ids) for a, b in edges)
+
+
 def test_render_json_round_trip():
     poset = _sixteen_poset()
     payload = json.loads(render(poset, "json"))
