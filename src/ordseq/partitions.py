@@ -84,17 +84,23 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
 def _element_counts(p: int, a) -> list[int]:
     """Elements of order p**j, for j = 1, 2, ..., in the abelian p-group of type a.
 
-    p to the j-th prefix sum of the conjugate partition counts the
-    elements of order dividing p**j (Macdonald, Symmetric Functions and
-    Hall Polynomials, II.1), so each layer is the rise from the last.
+    p to the j-th prefix sum of the conjugate partition, the sum of
+    min(part, j), counts the elements of order dividing p**j (Macdonald,
+    Symmetric Functions and Hall Polynomials, II.1), so each layer is the
+    rise from the last.  The group has p**|a| elements, so |a| is capped
+    at MAX_PARTITION_TOTAL before anything is built.
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
+    a = partition(a)
+    if sum(a) > MAX_PARTITION_TOTAL:
+        raise SizeLimitError(f"abelian p-groups are capped at p**{MAX_PARTITION_TOTAL} elements")
     counts = []
     below = 1
-    for sigma in accumulate(conjugate(a)):
-        counts.append(p**sigma - below)
-        below = p**sigma
+    for j in range(1, a[0] + 1 if a else 1):
+        dividing = p ** sum(min(x, j) for x in a)
+        counts.append(dividing - below)
+        below = dividing
     return counts
 
 

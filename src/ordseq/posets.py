@@ -2,11 +2,13 @@
 
 Items compare through a user relation that must be reflexive and
 transitive on the items themselves; mutually comparable items are
-collapsed into one class.  The checks, the classes and the Hasse covers
-work on each row of the relation held as an int bitmask, so a step over
-a whole row is one big-int operation.  The Hasse covers are peeled off
-each up-set along a linear extension, one step per cover, and must close
-back to the relation, checked cover by cover in one backward pass.
+collapsed into one class.  A poset holds the relation as one int bitmask
+per class, its up-set (`Poset.up`), so a step over a whole row is one
+big-int operation.  Rows of the callable's answers become masks through
+`itertools.compress`, and the checks fold masks with `functools.reduce`,
+without a Python step per set bit.  The Hasse covers are peeled off each
+up-set along a linear extension, one step per cover, and must close back
+to the relation, checked cover by cover in one backward pass.
 """
 
 from __future__ import annotations
@@ -14,30 +16,28 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, repeat
+from operator import or_
 
 from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
 class Poset:
-    """Collapsed partial order; names label classes, members list items."""
+    """Collapsed partial order; names label classes, members list items.
+
+    up[a] has bit b set when class a lies below or at class b.
+    """
 
     names: tuple[str, ...]
     members: tuple[tuple[str, ...], ...]
-    relation: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
 
 
-def _mask(row) -> int:
-    """Row of booleans as an int with bit j set when row[j] holds."""
-    return sum(1 << j for j, x in enumerate(row) if x)
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _selector(mask: int) -> bytes:
+    """Selector for itertools.compress: byte j is truthy when bit j of mask is set."""
+    return bin(mask)[:1:-1].encode().replace(b"0", b"\0")
 
 
 def build_poset(items, leq) -> Poset:
@@ -50,30 +50,36 @@ def build_poset(items, leq) -> Poset:
     names = [name for name, _ in items]
     if len(set(names)) != len(names):
         raise PreconditionError("item names must be distinct")
-    k = len(items)
-    rel = [[leq(items[i][1], items[j][1]) for j in range(k)] for i in range(k)]
-    for i in range(k):
-        if not rel[i][i]:
+    values = [value for _, value in items]
+    bit = [1 << j for j in range(len(values))]
+    rows = [list(map(leq, repeat(x), values)) for x in values]
+    for i, row in enumerate(rows):
+        if not row[i]:
             raise PreconditionError(f"relation is not reflexive at {names[i]}")
-    up = [_mask(row) for row in rel]
-    for a, above in enumerate(up):
-        for b in _bits(above):
-            if up[b] & ~above:
-                raise PreconditionError("relation is not transitive")
-    # now items comparable both ways are those with equal up-sets, so each
-    # item's class is named by the lowest item with its up-set
-    lowest: dict[int, int] = {}
-    cls_of = [lowest.setdefault(m, i) for i, m in enumerate(up)]
-    reps = sorted(set(cls_of))
-    members = tuple(tuple(sorted(names[t] for t in range(k) if cls_of[t] == r)) for r in reps)
+    up = [sum(compress(bit, row)) for row in rows]
+    # an up-set holds the up-set of everything in it exactly when the
+    # relation is transitive there
+    for row, mask in zip(rows, up):
+        if reduce(or_, compress(up, row)) != mask:
+            raise PreconditionError("relation is not transitive")
+    # now items comparable both ways are those with equal up-sets, so the
+    # classes are the distinct up-sets, listed by their lowest item
+    classes: dict[int, list[str]] = {}
+    for name, mask in zip(names, up):
+        classes.setdefault(mask, []).append(name)
+    members = tuple(tuple(sorted(group)) for group in classes.values())
     class_names = tuple("=".join(m) for m in members)
-    crel = tuple(tuple(rel[ra][rb] for rb in reps) for ra in reps)
-    rep_bits = sum(1 << r for r in reps)
-    for a in reps:
-        for b in _bits(up[a] & rep_bits & ~(1 << a)):
-            if up[b] >> a & 1:
-                raise AssertionError("collapsing must leave an antisymmetric relation")
-    return Poset(class_names, members, crel)
+    if len(classes) < len(values):
+        lowest: dict[int, int] = {}
+        keep = [lowest.setdefault(mask, i) == i for i, mask in enumerate(up)]
+        rows = [list(compress(row, keep)) for row in compress(rows, keep)]
+        up = [sum(compress(bit, row)) for row in rows]
+    # no class strictly above a class may also lie strictly below it
+    strict = [mask & ~b for mask, b in zip(up, bit)]
+    for a, row in enumerate(rows):
+        if reduce(or_, compress(strict, row)) >> a & 1:
+            raise AssertionError("collapsing must leave an antisymmetric relation")
+    return Poset(class_names, members, tuple(up))
 
 
 def hasse(poset: Poset) -> list[tuple[int, int]]:
@@ -87,10 +93,12 @@ def hasse(poset: Poset) -> list[tuple[int, int]]:
     the relation in one backward pass, which refuses any relation that is
     not a partial order.
     """
-    k = len(poset.names)
-    rel = poset.relation
-    order = sorted(range(k), key=lambda a: -sum(rel[a]))
-    up = [_mask([rel[a][b] for b in order]) for a in order]
+    k = len(poset.up)
+    order = sorted(range(k), key=lambda a: -poset.up[a].bit_count())
+    pos_bit = [0] * k
+    for i, a in enumerate(order):
+        pos_bit[a] = 1 << i
+    up = [sum(compress(pos_bit, _selector(poset.up[a]))) for a in order]
     # reach[j] is still 0 for j < i, so a cover at an earlier position
     # leaves reach[i] short of up[i] and fails the closure check
     covers = []
@@ -110,10 +118,10 @@ def hasse(poset: Poset) -> list[tuple[int, int]]:
 
 def extremes(poset: Poset):
     """(maximal names, minimal names, unique maximum name or None)."""
-    k = len(poset.names)
-    rel = poset.relation
-    maximal = [poset.names[a] for a in range(k) if not any(rel[a][b] for b in range(k) if b != a)]
-    minimal = [poset.names[a] for a in range(k) if not any(rel[b][a] for b in range(k) if b != a)]
+    strict = [mask & ~(1 << a) for a, mask in enumerate(poset.up)]
+    above_something = reduce(or_, strict, 0)
+    maximal = [name for name, mask in zip(poset.names, strict) if not mask]
+    minimal = [name for a, name in enumerate(poset.names) if not above_something >> a & 1]
     unique_max = maximal[0] if len(maximal) == 1 else None
     return maximal, minimal, unique_max
 

@@ -20,9 +20,13 @@ from .numth import euler_phi, factorize, is_power_of, prime_divisors
 
 
 class OrderSequence:
-    """Multiset of element orders, stored as (order, multiplicity) pairs."""
+    """Multiset of element orders, stored as (order, multiplicity) pairs.
 
-    __slots__ = ("pairs", "total", "_map")
+    Its length (total) and its order sum (read by psi) are stored when it
+    is built.
+    """
+
+    __slots__ = ("pairs", "total", "_psi", "_map")
 
     def __init__(self, counts):
         if hasattr(counts, "items"):
@@ -36,6 +40,7 @@ class OrderSequence:
             raise PreconditionError("an order sequence cannot be empty")
         self.pairs = tuple(sorted(merged.items()))
         self.total = sum(merged.values())
+        self._psi = sum(d * m for d, m in merged.items())
         self._map = merged
 
     def multiplicity(self, order: int) -> int:
@@ -93,7 +98,8 @@ def psi_k(seq: OrderSequence, k: int) -> int:
 
 
 def psi(seq: OrderSequence) -> int:
-    return psi_k(seq, 1)
+    """Sum of the element orders, stored when the sequence is built."""
+    return seq._psi
 
 
 def rho(seq: OrderSequence) -> int:
@@ -107,11 +113,15 @@ def rho(seq: OrderSequence) -> int:
 def dominates(a: OrderSequence, b: OrderSequence) -> bool:
     """Whether a has at most as many elements of order <= t as b, for all t.
 
-    Only thresholds at a's orders need checking: between two of them a's
+    Then a's sorted orders are elementwise at least b's, so psi(a) >=
+    psi(b): a smaller order sum is an exact reject in O(1).  Otherwise
+    only thresholds at a's orders need checking: between two of them a's
     count stays fixed while b's can only rise.
     """
     if a.total != b.total:
         raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
+    if a._psi < b._psi:
+        return False
     pb = b.pairs
     nb = len(pb)
     ca = cb = ib = 0

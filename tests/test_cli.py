@@ -325,6 +325,15 @@ def test_partition_errors(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("parts", ["15000,1", "59,2", "60,1", "1000000000,1"])
+def test_partition_details_past_the_size_cap_exit_3(capsys, parts):
+    # |parts| > 60 would build p**|parts|; the cap refuses before that, with no traceback
+    code, out, err = run_cli(capsys, "partition", parts, "--p", "2")
+    assert code == 3
+    assert out == ""
+    assert "capped" in err and "Traceback" not in err
+
+
 def test_global_flags_follow_the_subcommand():
     with pytest.raises(SystemExit) as exc:
         _main(["--json", "os", "C6"])

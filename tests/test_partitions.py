@@ -79,6 +79,15 @@ def test_partitions_of_limits():
         partitions_of(-1)
 
 
+def test_abelian_p_groups_share_the_partition_cap():
+    assert abelian_order_sequence(2, (60,)).total == 2**60
+    for parts in ((61,), (60, 1), (15000, 1)):
+        with pytest.raises(SizeLimitError):
+            abelian_order_sequence(2, parts)
+        with pytest.raises(SizeLimitError):
+            cyclic_subgroup_counts(2, parts)
+
+
 def test_abelian_order_sequence_frozen():
     s = abelian_order_sequence(2, (4, 1, 1))
     assert str(s) == "1:1,2:7,4:8,8:16,16:32"

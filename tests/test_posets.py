@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from ordseq.catalog import catalog, supported_orders
+from ordseq.cli import _main
 from ordseq.errors import PreconditionError
 from ordseq.partitions import abelian_order_sequence, partitions_of
 from ordseq.posets import Poset, build_poset, extremes, hasse, render, sanitize_identifier
@@ -18,8 +20,8 @@ def test_divisor_poset_structure():
     poset = _divisor_poset(12)
     assert len(poset.names) == 6
     i2, i4 = poset.names.index("2"), poset.names.index("4")
-    assert poset.relation[i2][i4]
-    assert not poset.relation[i4][i2]
+    assert poset.up[i2] >> i4 & 1
+    assert not poset.up[i4] >> i2 & 1
     assert len(hasse(poset)) == 7
     maximal, minimal, unique_max = extremes(poset)
     assert maximal == ["12"]
@@ -68,30 +70,37 @@ def test_transitivity_is_checked_on_items_not_classes(relation):
 
 
 def test_hasse_closure_check_rejects_non_transitive_relation():
-    poset = Poset(("a", "b", "c"), (("a",), ("b",), ("c",)), _NON_TRANSITIVE)
+    # _NON_TRANSITIVE as up-sets: a below a and b, b below b and c, c below c
+    poset = Poset(("a", "b", "c"), (("a",), ("b",), ("c",)), (0b011, 0b110, 0b100))
     with pytest.raises(AssertionError, match="close back"):
         hasse(poset)
 
 
 @pytest.mark.parametrize(
-    "relation",
+    "up",
     [
         # a <= b, but b is not related to itself: peeling b must still drop b
-        ((True, True), (False, False)),
+        (0b11, 0b00),
         # a <= b and b <= a on two classes: a preorder, not a partial order
-        ((True, True), (True, True)),
+        (0b11, 0b11),
     ],
     ids=["not-reflexive", "two-class-preorder"],
 )
-def test_hasse_refuses_relations_that_are_not_partial_orders(relation):
-    poset = Poset(("a", "b"), (("a",), ("b",)), relation)
+def test_hasse_refuses_relations_that_are_not_partial_orders(up):
+    poset = Poset(("a", "b"), (("a",), ("b",)), up)
     with pytest.raises(AssertionError, match="close back"):
         hasse(poset)
 
 
+def _relation(poset):
+    """The class relation as a k x k table of bools, read off the up-set masks."""
+    k = len(poset.names)
+    return [[bool(poset.up[a] >> b & 1) for b in range(k)] for a in range(k)]
+
+
 def _brute_force_covers(poset):
     k = len(poset.names)
-    rel = poset.relation
+    rel = _relation(poset)
     return [
         (a, b)
         for a in range(k)
@@ -100,17 +109,41 @@ def _brute_force_covers(poset):
     ]
 
 
+def _brute_force_extremes(poset):
+    k = len(poset.names)
+    rel = _relation(poset)
+    maximal = [poset.names[a] for a in range(k) if not any(rel[a][b] for b in range(k) if b != a)]
+    minimal = [poset.names[a] for a in range(k) if not any(rel[b][a] for b in range(k) if b != a)]
+    return maximal, minimal, maximal[0] if len(maximal) == 1 else None
+
+
+def _catalog_poset(n):
+    items = [(name, order_sequence(g)) for name, g in catalog(n)]
+    return build_poset(items, lambda a, b: dominates(b, a))
+
+
 @pytest.mark.parametrize("n", supported_orders())
 def test_hasse_matches_brute_force_on_catalog_posets(n):
-    items = [(name, order_sequence(g)) for name, g in catalog(n)]
-    poset = build_poset(items, lambda a, b: dominates(b, a))
+    poset = _catalog_poset(n)
     assert hasse(poset) == _brute_force_covers(poset)
+
+
+@pytest.mark.parametrize("n", supported_orders())
+def test_extremes_match_brute_force_on_catalog_posets(n):
+    poset = _catalog_poset(n)
+    assert extremes(poset) == _brute_force_extremes(poset)
 
 
 @pytest.mark.parametrize("n", [1, 12, 64, 360, 720])
 def test_hasse_matches_brute_force_on_divisor_posets(n):
     poset = _divisor_poset(n)
     assert hasse(poset) == _brute_force_covers(poset)
+
+
+@pytest.mark.parametrize("n", [1, 12, 64, 360, 720])
+def test_extremes_match_brute_force_on_divisor_posets(n):
+    poset = _divisor_poset(n)
+    assert extremes(poset) == _brute_force_extremes(poset)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -122,13 +155,8 @@ def test_hasse_matches_brute_force_on_abelian_p_group_posets(n):
     assert hasse(poset) == _brute_force_covers(poset)
 
 
-def _sixteen_poset():
-    items = [(name, order_sequence(g)) for name, g in catalog(16)]
-    return build_poset(items, lambda a, b: dominates(b, a))
-
-
 def test_order16_domination_poset():
-    poset = _sixteen_poset()
+    poset = _catalog_poset(16)
     assert len(poset.names) == 9
     _, _, unique_max = extremes(poset)
     assert unique_max == "C16"
@@ -136,7 +164,7 @@ def test_order16_domination_poset():
 
 
 def test_render_dot():
-    text = render(_sixteen_poset(), "dot")
+    text = render(_catalog_poset(16), "dot")
     assert text.startswith("digraph {")
     assert "rankdir=BT;" in text
     assert '[label="C4:C4=C4xC4=Q8xC2"]' in text
@@ -162,7 +190,7 @@ def test_render_dot_ids_are_distinct_when_suffixes_collide():
 
 
 def test_render_json_round_trip():
-    poset = _sixteen_poset()
+    poset = _catalog_poset(16)
     payload = json.loads(render(poset, "json"))
     assert len(payload["items"]) == 9
     names = [item["name"] for item in payload["items"]]
@@ -182,3 +210,41 @@ def test_sanitize_identifier():
     assert sanitize_identifier("(C2xC2):C4") == "C2xC2_C4"
     assert sanitize_identifier("***") == "item"
     assert sanitize_identifier("C16") == "C16"
+
+
+# sha256 of the stdout of `ordseq poset n` and `ordseq poset n --json`,
+# recorded before the relation was held as up-set masks
+_POSET_DIGESTS = {
+    1: ("05e50546fa4e74d55ecd3cd8ef3462b8052e78657e2c3176a434b722ac91dcd5", "0472b303cee65297b650f3dd06c3fc7ea16a38c46ab4c0ffac7c4587b5344297"),
+    2: ("0841a3875b27bbfa0115b37ba1841e3edcae533a0067c7e7b6a39baa714650b8", "9df99fc4b4e776f2974082055be5ea002438a1fe4e7d0280151d9633dc83ab90"),
+    3: ("ed7fabee41bf013d7c8e3a16cbb8b0c9f05ee135d9b97d51bdff3942e64e7300", "a59a34dc46455e3d30e8583ea4a483d82424454efa606de3bbce7fd8f9d6478a"),
+    4: ("bc551720a4727ddab4812365bf1e95ec99213d325b6a5f4eabcd8a6a80e582ad", "99fdfb9e548ccbde6dd2066c3d3ee7fcd9506bfe9f58775072627f9fb5fbd26c"),
+    5: ("768adfcde795e2e8e1d846c3be0b9c3a240e1b8bd7fffef8434f33e38b5df9d4", "30bca95227f9d597482282beeeb3f6880d2b074143d736040ce1d5c622441f85"),
+    6: ("967e899b409a866b40d3f3ebc62416a8ac4a24457f19a8d8cb7548146607ab73", "e6fc1e2252f7da20546dbc1c125f3287a38b08ca47cae9cddf45bbdc6254955e"),
+    7: ("611ef4bb9ee8ef5104dd54b3ade7e31f630cc4c8f4e77b9f3f97c7d0de9e7d3e", "23cd7ab95fe59454b673c2b365dbd4b29ca4c4378c1e76ac1b41d510bd76ea4c"),
+    8: ("dca2d30fbb45011d3f7bdd1b7efc10828dc12bbdc5fe7c8ce4c6c8a5138c53fe", "c428d62d4ed6340b57c4ae670e38229d5d06fdac183cafd30d68c12c09428224"),
+    9: ("441b6b2c9e05ae7fbde05487098ac2152e39f0abb39035b4b1794fba4ac2dd20", "2c41133135f5c1c5d76c87279342ab95d88413e6be3fb32a59e82332a248b519"),
+    10: ("7ced5846a36ba7dbb32a7ab59fced5079371e8e1c333658b786859b2104cdf1e", "e28cde298355964674dc98f407752c2f7c5ac6cad1a5795ebbdc77729a86cc7a"),
+    11: ("ab28395f7227a78391ec57901754ff48ec213dc8d1385277f6aaeba7c00c25b9", "6e58314b0f862d05f6ed3faef7f224d08b4fca0cfae69df83726828f76b130c1"),
+    12: ("e2baa6227a047dcaac710049a0dc87794f2810cce5e5d2c2d3b0eee7850dcce4", "9d4f7a16362073473fc2941552a0b69f15558b712f99cc548b2feabcfc2f0245"),
+    13: ("ad31eecb3d856835c02ee039cfda690f0370bf9a3f01e1a4e5bf18a82fc9f953", "b5e02d9a80948b0950e494cd021afaca0abb1ff5a382e148760ba47bf70ab07f"),
+    14: ("f54e51574e6789ff3fb732ab0b71dbfd0f987944a6d541821a1ce5f13690dd2d", "be3e1d8ef901368192047e205fd6ca362bb1a40e2434b371be95d1909073ba05"),
+    15: ("320b818dd4ea627ac0d774b1d8e492bdaffc3568106e2a5288b0b3f8bb64dab5", "22233f757b043347d7ac13f551cf4158dd99c8839525b0c2fa24240160f9fd03"),
+    16: ("719210a6f1bda21a8ea17304472db4faac951d209c3e834b43ca3383889a29fe", "de7ef15b571b2017246e71208e87ef5c8aaa0d258e4e467e76422213cfbe8293"),
+    20: ("ae64120051681edd4131b49b12431f5d36649b23db7d41f67c5d3f58a568f088", "a7d75caac01c8cbd8201b3a1450a8c4095b4118143dc0f0cb4c1fdd64025e3b9"),
+    21: ("49a24127de27dd80fa02f33668de2ff0481d7d1d29e59e946aa94a4280deff6e", "38a3af9ca791a04a77316dbdc8bfe8cce57a6f3fea80c776d8aeeea4afdd3c0f"),
+    60: ("45a7b82923f42af709e580e12c38b9eeacd6f0f61e9bab8357075a2766165f48", "55f080e6aef8ced3b7fc1978dbaccd306273a597f539770fffe8a79a6f67c1fe"),
+}
+
+
+def test_poset_digests_cover_every_supported_order():
+    assert sorted(_POSET_DIGESTS) == list(supported_orders())
+
+
+@pytest.mark.parametrize("n", supported_orders())
+def test_poset_output_is_pinned(capsys, n):
+    got = []
+    for extra in ([], ["--json"]):
+        assert _main(["poset", str(n), *extra]) == 0
+        got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(got) == _POSET_DIGESTS[n]

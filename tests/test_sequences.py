@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ordseq.catalog import catalog, supported_orders
 from ordseq.errors import LengthMismatch, ParseError, PreconditionError
@@ -401,3 +401,60 @@ _SIXTEEN = [order_sequence(g) for _, g in catalog(16)]
 def test_domination_is_transitive(a, b, c):
     if dominates(a, b) and dominates(b, c):
         assert dominates(a, c)
+
+
+def _expanded_dominates(a, b):
+    """a dominates b exactly when a's sorted orders are elementwise at least b's."""
+    def expand(s):
+        return sorted(d for d, m in s.pairs for _ in range(m))
+
+    return all(x >= y for x, y in zip(expand(a), expand(b)))
+
+
+_orders = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8)
+
+
+@st.composite
+def _equal_length_pairs(draw):
+    """Two order lists of one length; half the time b moves weight inside a, so psi is equal."""
+    a = draw(_orders)
+    if draw(st.booleans()):
+        b = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=len(a), max_size=len(a)))
+    else:
+        b = list(a)
+        i = draw(st.integers(min_value=0, max_value=len(a) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(a) - 1))
+        shift = draw(st.integers(min_value=0, max_value=b[j] - 1))
+        b[i] += shift
+        b[j] -= shift
+    return OrderSequence(Counter(a)), OrderSequence(Counter(b))
+
+
+@given(_equal_length_pairs())
+def test_dominates_matches_expanded_orders(pair):
+    a, b = pair
+    assert dominates(a, b) == _expanded_dominates(a, b)
+    assert dominates(b, a) == _expanded_dominates(b, a)
+
+
+def test_dominates_with_equal_psi_still_compares_orders():
+    # psi 9 on both sides: the order sum cannot settle these
+    a, b = OrderSequence(Counter([1, 4, 4])), OrderSequence(Counter([3, 3, 3]))
+    assert psi(a) == psi(b)
+    assert not dominates(a, b) and not dominates(b, a)
+    assert dominates(a, a)
+
+
+@given(st.dictionaries(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=30), min_size=1))
+def test_psi_is_the_order_sum(counts):
+    s = OrderSequence(counts)
+    assert psi(s) == sum(d * m for d, m in s.pairs) == psi_k(s, 1)
+
+
+@given(_orders, _orders)
+def test_length_mismatch_comes_before_the_psi_reject(a, b):
+    a, b = OrderSequence(Counter(a)), OrderSequence(Counter(b))
+    assume(a.total != b.total)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(LengthMismatch):
+            dominates(x, y)
