@@ -1,18 +1,28 @@
 """Small number-theoretic helpers used throughout the package.
 
-Everything here works on plain Python ints and stays exact; inputs are
-desk scale so trial division is plenty.
+Everything here works on plain Python ints and stays exact, by trial
+division.  is_prime refuses n above PRIME_TEST_LIMIT, so one call makes at
+most 5 * 10**5 trial divisions.  factorize is not capped: it divides only
+up to the square root of the cofactor left, so a number whose prime
+factors are small, such as p**15, factorizes at once however large it is.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SizeLimitError
+
+PRIME_TEST_LIMIT = 10**12
 
 
 def is_prime(n: int) -> bool:
-    """Return True when n is prime, by trial division up to sqrt(n)."""
+    """Return True when n is prime, by trial division up to sqrt(n).
+
+    Raises SizeLimitError when n exceeds PRIME_TEST_LIMIT.
+    """
+    if n > PRIME_TEST_LIMIT:
+        raise SizeLimitError(f"primality test is capped at {PRIME_TEST_LIMIT}")
     if n < 2:
         return False
     if n < 4:

@@ -22,11 +22,12 @@ from .numth import euler_phi, factorize, is_power_of, prime_divisors
 class OrderSequence:
     """Multiset of element orders, stored as (order, multiplicity) pairs.
 
-    Its length (total) and its order sum (read by psi) are stored when it
-    is built.
+    Its distinct orders (ascending, from the same sort as the pairs), its
+    length (total) and its order sum (read by psi) are stored when it is
+    built.  No per-order dict is kept: multiplicity bisects the orders.
     """
 
-    __slots__ = ("pairs", "total", "_psi", "_map")
+    __slots__ = ("pairs", "orders", "total", "_psi")
 
     def __init__(self, counts):
         if hasattr(counts, "items"):
@@ -39,16 +40,13 @@ class OrderSequence:
         if not merged:
             raise PreconditionError("an order sequence cannot be empty")
         self.pairs = tuple(sorted(merged.items()))
+        self.orders = tuple(d for d, _ in self.pairs)
         self.total = sum(merged.values())
         self._psi = sum(d * m for d, m in merged.items())
-        self._map = merged
 
     def multiplicity(self, order: int) -> int:
-        return self._map.get(order, 0)
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.pairs)
+        i = bisect_left(self.orders, order)
+        return self.pairs[i][1] if i < len(self.orders) and self.orders[i] == order else 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OrderSequence) and self.pairs == other.pairs
@@ -116,7 +114,8 @@ def dominates(a: OrderSequence, b: OrderSequence) -> bool:
     Then a's sorted orders are elementwise at least b's, so psi(a) >=
     psi(b): a smaller order sum is an exact reject in O(1).  Otherwise
     only thresholds at a's orders need checking: between two of them a's
-    count stays fixed while b's can only rise.
+    count stays fixed while b's can only rise.  Once b's orders are used
+    up, b's count is the total, which a's never exceeds.
     """
     if a.total != b.total:
         raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
@@ -127,9 +126,11 @@ def dominates(a: OrderSequence, b: OrderSequence) -> bool:
     ca = cb = ib = 0
     for d, m in a.pairs:
         ca += m
-        while ib < nb and pb[ib][0] <= d:
+        while pb[ib][0] <= d:
             cb += pb[ib][1]
             ib += 1
+            if ib == nb:
+                return True
         if ca > cb:
             return False
     return True
@@ -165,33 +166,54 @@ def strong_domination(a: OrderSequence, b: OrderSequence):
     plan rows (a_order, b_order, amount) sorted, or (False, HallCertificate).
 
     A greedy start takes the b-orders largest first and matches each onto
-    the smallest a-orders it divides, so equal orders come first; when
-    the orders form a divisibility chain, the start is already a maximum
-    matching.  Then a breadth-first search runs from the a-orders with
-    elements left: an a-order reaches each b-order dividing it (listed
-    when a search first reaches it), and a b-order with none left leads
-    on to the a-orders it is matched with, since those matches can move.
-    Reaching a b-order with elements left moves one amount along the
-    path.  The plan is one valid transport among possibly many.  The
-    certificate is not a choice: the a-orders a failed search reaches are
-    the unique smallest set with the largest shortfall, whatever matching
-    was found.
+    the smallest a-orders it divides among those with elements left, so
+    equal orders come first; when the orders form a divisibility chain,
+    the start is already a maximum matching.  If it leaves no b-order
+    short, its rows are the plan.  Only otherwise does a breadth-first
+    search run from the a-orders with elements left: an a-order reaches
+    each b-order dividing it (listed when a search first reaches it), and
+    a b-order with none left leads on to the a-orders it is matched with,
+    since those matches can move.  Reaching a b-order with elements left
+    moves one amount along the path.  The plan is one valid transport
+    among possibly many.  The certificate is taken from the failed
+    search: the a-orders it reached and the b-orders it listed for them,
+    which are exactly their divisors.  It is not a choice: those a-orders
+    are the unique smallest set with the largest shortfall, whatever
+    matching was found.
     """
     if a.total != b.total:
         raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
     spare = dict(a.pairs)  # a-elements of each order not matched yet
+    live = list(a.orders)  # the a-orders with elements left
+    rows = []  # greedy matches (a_order, b_order, amount)
+    left_short = False
+    for e, need in reversed(b.pairs):
+        i = bisect_left(live, e)
+        while i < len(live):
+            d = live[i]
+            if d % e:
+                i += 1
+                continue
+            m = spare[d]
+            if m > need:
+                spare[d] = m - need
+                rows.append((d, e, need))
+                break
+            spare[d] = 0
+            del live[i]
+            rows.append((d, e, m))
+            need -= m
+            if not need:
+                break
+        else:  # b-elements of order e are left over
+            left_short = True
+    if not left_short:
+        return True, sorted(rows)
     short = dict(b.pairs)  # b-elements of each order not matched yet
     sent = {e: {} for e in short}  # sent[e][d]: matches of b-order e to a-order d
-    orders = a.orders
-    for e in reversed(b.orders):
-        for d in orders[bisect_left(orders, e):]:
-            if not short[e]:
-                break
-            if spare[d] and d % e == 0:
-                amount = min(spare[d], short[e])
-                spare[d] -= amount
-                short[e] -= amount
-                sent[e][d] = amount
+    for d, e, n in rows:
+        short[e] -= n
+        sent[e][d] = n
     targets = {}  # targets[d]: b-orders dividing d
     while True:
         queue = [d for d, m in spare.items() if m]
@@ -235,8 +257,8 @@ def strong_domination(a: OrderSequence, b: OrderSequence):
             sent[e][d] -= amount
 
     # the failed search reached exactly the a-orders of a Hall violation
-    stuck_a = tuple(d for d, _ in a.pairs if d in via_a)
-    covered_b = tuple(e for e, _ in b.pairs if any(d % e == 0 for d in stuck_a))
+    stuck_a = tuple(sorted(via_a))
+    covered_b = tuple(sorted(via_b))  # every b-order dividing stuck_a, listed by the search
     need = sum(a.multiplicity(d) for d in stuck_a)
     have = sum(b.multiplicity(e) for e in covered_b)
     if need <= have:

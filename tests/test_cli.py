@@ -358,6 +358,27 @@ def test_module_entry_point():
     assert proc.stdout.startswith("1:1,2:1,3:2,6:2")
 
 
+@pytest.mark.parametrize(
+    "p,code,out",
+    [
+        ("2305843009213693951", 3, ""),  # 2**61 - 1: past the primality cap
+        ("999983", 0, "sequence (p=999983): 1:1,999983:999966000288,999966000289:999948000900994798\n"),
+    ],
+)
+def test_partition_with_a_large_prime_ends_in_time(p, code, out):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordseq.cli", "partition", "2,1", "--p", p],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=30,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.endswith(out)
+    if code:
+        assert "primality test is capped" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [["partition", "40", "--json"], ["partition", "40"]])
 def test_reader_closing_the_pipe_early_exits_quietly(argv):
     # the listing is far larger than a pipe buffer, so the child is still

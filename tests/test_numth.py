@@ -1,7 +1,8 @@
 import pytest
 
-from ordseq.errors import PreconditionError
+from ordseq.errors import PreconditionError, SizeLimitError
 from ordseq.numth import (
+    PRIME_TEST_LIMIT,
     euler_phi,
     factorize,
     is_power_of,
@@ -20,6 +21,20 @@ def test_is_prime_carmichael():
     # 561 = 3 * 11 * 17 fools the plain Fermat test
     assert not is_prime(561)
     assert is_prime(7919)
+
+
+def test_is_prime_is_capped():
+    assert is_prime(999_999_999_989)  # the largest prime below the cap
+    assert not is_prime(PRIME_TEST_LIMIT)
+    for n in (PRIME_TEST_LIMIT + 1, 2**61 - 1, 10**5000):
+        with pytest.raises(SizeLimitError):
+            is_prime(n)
+
+
+def test_factorize_is_not_capped():
+    # prime powers far above the primality cap, as landscape sequences need
+    assert factorize(23**15) == ((23, 15),)
+    assert factorize(2**64 * 3) == ((2, 64), (3, 1))
 
 
 def test_factorize_known():

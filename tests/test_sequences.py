@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -11,6 +13,7 @@ from ordseq.errors import LengthMismatch, ParseError, PreconditionError
 from ordseq.groups import abelian, alternating, cyclic, dicyclic, direct_product, symmetric
 from ordseq.partitions import abelian_order_sequence, partitions_of
 from ordseq.sequences import (
+    HallCertificate,
     OrderSequence,
     comparable,
     cyclic_order_sequence,
@@ -63,7 +66,9 @@ def test_cyclic_six_invariants():
     assert s.pairs == ((1, 1), (2, 1), (3, 2), (6, 2))
     assert s.orders == (1, 2, 3, 6)
     assert s.multiplicity(6) == 2
+    assert s.multiplicity(1) == 1
     assert s.multiplicity(4) == 0
+    assert s.multiplicity(12) == 0
     assert psi(s) == 21
     assert psi_k(s, 2) == 95
     assert rho(s) == 648
@@ -125,6 +130,45 @@ def test_dominates_matches_threshold_reference():
         for a in seqs:
             for b in seqs:
                 assert dominates(a, b) == _threshold_dominates(a, b), (a, b)
+
+
+def test_dominates_when_b_runs_out_of_orders_first():
+    # once b's largest order is passed, b's count is the total and a's never exceeds it
+    c4, v4 = OrderSequence({1: 1, 2: 1, 4: 2}), OrderSequence({1: 1, 2: 3})
+    assert dominates(c4, v4) and not dominates(v4, c4)
+    c6, s3 = order_sequence(cyclic(6)), order_sequence(symmetric(3))
+    assert dominates(c6, s3)
+    # b is used up at a's first order
+    assert dominates(OrderSequence({5: 3}), OrderSequence({1: 1, 2: 2}))
+    assert dominates(OrderSequence({6: 4}), OrderSequence({1: 1, 6: 3}))
+    # equal order sums; a's count passes b's before b is used up at a's last order
+    assert not dominates(OrderSequence({1: 2, 9: 1}), OrderSequence({1: 1, 2: 1, 8: 1}))
+    # equal order sums; b is never used up, as b's largest order exceeds a's
+    assert not dominates(OrderSequence({2: 3}), OrderSequence({1: 2, 4: 1}))
+
+
+def _domination_digest():
+    """One sha256 over dominates and strong_domination, verdicts and all
+    evidence, on every ordered pair of several families."""
+    families = [[order_sequence(g) for _, g in catalog(n)] for n in (8, 12, 16, 20, 21, 60)]
+    families += [[abelian_order_sequence(p, lam) for lam in partitions_of(8)] for p in (2, 3)]
+    digest = hashlib.sha256()
+    for seqs in families:
+        for a in seqs:
+            for b in seqs:
+                ok, evidence = strong_domination(a, b)
+                if ok:
+                    fields = [list(row) for row in evidence]
+                else:
+                    fields = [evidence.a_orders, evidence.b_orders, evidence.need, evidence.have]
+                digest.update(json.dumps([dominates(a, b), ok, fields]).encode())
+    return digest.hexdigest()
+
+
+def test_domination_results_are_pinned():
+    # the verdicts, plans and certificates as first recorded: any change to
+    # the order of matching, or to how a certificate is read, shows here
+    assert _domination_digest() == "eb7c5c8d35272c6584d071bda4afd2833108f4d80f5711c9ce703c8252c3b3a7"
 
 
 def test_dominates_needs_equal_length():
@@ -256,17 +300,18 @@ def test_strong_implies_domination():
 def _largest_shortfall(a: dict, b: dict):
     """Brute force over every set S of a-orders: the largest shortfall,
     a's multiplicity on S minus b's on the divisors of S, and the sets
-    that reach it."""
-    best, best_sets = 0, []
+    that reach it, smallest first."""
     orders = sorted(a)
-    for k in range(len(orders) + 1):
-        for s in itertools.combinations(orders, k):
-            need = sum(a[d] for d in s)
-            have = sum(m for e, m in b.items() if any(d % e == 0 for d in s))
-            if need - have > best:
-                best, best_sets = need - have, []
-            if need - have == best:
-                best_sets.append(s)
+    # bit i of reach[e] is set when b-order e divides a-order orders[i]
+    reach = {e: sum(1 << i for i, d in enumerate(orders) if d % e == 0) for e in b}
+    best, best_sets = 0, []
+    for mask in sorted(range(1 << len(orders)), key=int.bit_count):
+        s = tuple(d for i, d in enumerate(orders) if mask >> i & 1)
+        shortfall = sum(a[d] for d in s) - sum(m for e, m in b.items() if reach[e] & mask)
+        if shortfall > best:
+            best, best_sets = shortfall, []
+        if shortfall == best:
+            best_sets.append(s)
     return best, best_sets
 
 
@@ -293,6 +338,39 @@ def test_hall_certificate_is_the_smallest_set_of_largest_shortfall():
         assert evidence.need - evidence.have == best
         assert _hall_violation(a, b, evidence) is None, (a, b)
     assert infeasible > 1000
+
+
+def test_strong_domination_matches_a_brute_force_hall_oracle():
+    # Hall's theorem: a matching exists exactly when no set S of a-orders
+    # needs more than the b-orders dividing S supply
+    rng = random.Random(72)
+    divisors = [d for d in range(1, 73) if 72 % d == 0]
+    verdicts = Counter()
+    for _ in range(1000):
+        total = rng.randint(1, 30)
+        a_orders = rng.sample(divisors, rng.randint(1, 7))
+        # one divisor of each a-order, so that both verdicts are common
+        b_orders = {rng.choice([e for e in divisors if d % e == 0]) for d in a_orders}
+        a = OrderSequence(Counter(rng.choices(a_orders, k=total)))
+        b = OrderSequence(Counter(rng.choices(sorted(b_orders), k=total)))
+        ok, evidence = strong_domination(a, b)
+        verdicts[ok] += 1
+        best, best_sets = _largest_shortfall(dict(a.pairs), dict(b.pairs))
+        assert ok == (best == 0), (a, b)
+        if ok:
+            for d, e, amount in evidence:
+                assert amount > 0 and d % e == 0, (a, b, (d, e, amount))
+            for s, column in ((a, 0), (b, 1)):
+                for order, m in s.pairs:
+                    assert sum(row[2] for row in evidence if row[column] == order) == m, (a, b)
+            continue
+        smallest = best_sets[0]
+        b_orders = tuple(e for e in b.orders if any(d % e == 0 for d in smallest))
+        need = sum(a.multiplicity(d) for d in smallest)
+        have = sum(b.multiplicity(e) for e in b_orders)
+        assert evidence == HallCertificate(smallest, b_orders, need, have), (a, b)
+        assert need - have == best
+    assert min(verdicts.values()) >= 300, verdicts
 
 
 def _random_catalog_group(rng, max_order=21):
