@@ -2,18 +2,23 @@
 
 Everything here works on plain Python ints and stays exact, by trial
 division.  is_prime refuses n above PRIME_TEST_LIMIT, so one call makes at
-most 5 * 10**5 trial divisions.  factorize is not capped: it divides only
-up to the square root of the cofactor left, so a number whose prime
-factors are small, such as p**15, factorizes at once however large it is.
+most 5 * 10**5 trial divisions.  factorize divides only up to the square
+root of the cofactor left, so a number whose prime factors are small,
+such as p**15, factorizes at once however large it is.  It refuses n once
+the trial divisor passes isqrt(PRIME_TEST_LIMIT) with the cofactor still
+above its square: that cofactor could only be split, or shown prime, by
+trial division past the cap is_prime keeps.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .errors import PreconditionError, SizeLimitError
 
 PRIME_TEST_LIMIT = 10**12
+TRIAL_DIVISOR_LIMIT = isqrt(PRIME_TEST_LIMIT)
 
 
 def is_prime(n: int) -> bool:
@@ -39,13 +44,19 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Return the prime factorization of n as ((p, exponent), ...) with p ascending."""
+    """Return the prime factorization of n as ((p, exponent), ...) with p ascending.
+
+    Raises SizeLimitError when a cofactor with no prime factor up to
+    TRIAL_DIVISOR_LIMIT is still at least the square of the next divisor.
+    """
     if n < 1:
         raise PreconditionError(f"cannot factorize {n}")
     out: list[tuple[int, int]] = []
     rest = n
     p = 2
     while p * p <= rest:
+        if p > TRIAL_DIVISOR_LIMIT:
+            raise SizeLimitError(f"factorization is capped at trial divisors up to {TRIAL_DIVISOR_LIMIT}")
         if rest % p == 0:
             e = 0
             while rest % p == 0:

@@ -7,6 +7,19 @@ threshold; it strongly dominates when the elements can be matched so
 that orders divide orders.  Strong domination is decided by a greedy
 matching of orders finished by an augmenting-path search over pairs of
 orders, which returns either a transport plan or a Hall certificate.
+
+Domination compares counts at thresholds.  A sequence's base is its
+minimal orders above 1 under divisibility; for the sequence of a group
+of order n these are the primes dividing n (Cauchy), so no factoring is
+needed.  When the base is pairwise coprime, n is a product of its
+powers, the products of those powers dividing n number at most
+GRID_LIMIT, and every order is one of them, those products are the
+sequence's threshold grid.  Its key packs F(g), the number of elements
+of order <= g, at each grid point g into one int, one field per point,
+with a spare top bit per field as a guard.  Two keys on one grid are
+compared in one subtraction (Lamport, "Multiple byte processing with
+full-word instructions", CACM 18(8), 1975).  A sequence with no grid is
+compared by merging the two lists of orders.
 """
 
 from __future__ import annotations
@@ -14,6 +27,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import index
 
 from .errors import LengthMismatch, ParseError, PreconditionError
 from .numth import euler_phi, factorize, is_power_of, prime_divisors
@@ -25,15 +40,20 @@ class OrderSequence:
     Its distinct orders (ascending, from the same sort as the pairs), its
     length (total) and its order sum (read by psi) are stored when it is
     built.  No per-order dict is kept: multiplicity bisects the orders.
+    The threshold key that dominates reads is built on first use.
     """
 
-    __slots__ = ("pairs", "orders", "total", "_psi")
+    __slots__ = ("pairs", "orders", "total", "_psi", "_key")
 
     def __init__(self, counts):
         if hasattr(counts, "items"):
             counts = counts.items()
         merged: dict[int, int] = {}
         for order, mult in counts:
+            try:
+                order, mult = index(order), index(mult)
+            except TypeError:
+                raise PreconditionError("orders and multiplicities must be integers") from None
             if order < 1 or mult < 1:
                 raise PreconditionError("orders and multiplicities must be positive")
             merged[order] = merged.get(order, 0) + mult
@@ -43,6 +63,7 @@ class OrderSequence:
         self.orders = tuple(d for d, _ in self.pairs)
         self.total = sum(merged.values())
         self._psi = sum(d * m for d, m in merged.items())
+        self._key = None  # (base, key, guard) once built; () when there is no grid
 
     def multiplicity(self, order: int) -> int:
         i = bisect_left(self.orders, order)
@@ -108,19 +129,100 @@ def rho(seq: OrderSequence) -> int:
     return out
 
 
+GRID_LIMIT = 4096  # most threshold grid points a key is built over
+
+
+@lru_cache(maxsize=32)
+def _grid(base: tuple[int, ...], total: int):
+    """(shift, ones, mask, guard) for the grid of base and total, or None if there is none.
+
+    The grid is every product of powers of the base that divides the
+    total.  Its points, ascending, own fields of total.bit_length() // 8
+    + 1 bytes, lowest first, so no count up to total reaches a field's
+    top bit.  shift maps each point to its field's lowest bit; ones has
+    that bit set in every field, mask every bit of every field, and
+    guard every field's top bit.
+    """
+    grid = [1]
+    rest = total
+    for i, b in enumerate(base):
+        if any(math.gcd(b, c) > 1 for c in base[:i]):
+            return None
+        powers = [1]
+        while rest % b == 0:
+            rest //= b
+            powers.append(powers[-1] * b)
+        if len(grid) * len(powers) > GRID_LIMIT:
+            return None
+        grid = [g * q for g in grid for q in powers]
+    if rest != 1:
+        return None
+    grid.sort()
+    width = total.bit_length() // 8 + 1
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(grid), "little")
+    bits = 8 * width
+    return {g: bits * i for i, g in enumerate(grid)}, ones, (1 << bits * len(grid)) - 1, ones << (bits - 1)
+
+
+def _threshold_key(seq: OrderSequence):
+    """(base, key, guard) for the sequence's threshold grid, or () if it has none.
+
+    key holds F(g), the number of elements of order <= g, in grid point
+    g's field.  Each multiplicity goes into its order's field; times
+    ones, each field then also holds the sum of every field below it,
+    with no carry since those sums are at most the total.
+    """
+    base = []
+    for d in seq.orders:
+        if d > 1:
+            for b in base:
+                if d % b == 0:
+                    break
+            else:
+                base.append(d)
+    base = tuple(base)
+    grid = _grid(base, seq.total)
+    if grid is None:
+        return ()
+    shift, ones, mask, guard = grid
+    steps = 0
+    for d, m in seq.pairs:
+        s = shift.get(d)
+        if s is None:
+            return ()
+        steps += m << s
+    return base, steps * ones & mask, guard
+
+
 def dominates(a: OrderSequence, b: OrderSequence) -> bool:
     """Whether a has at most as many elements of order <= t as b, for all t.
 
     Then a's sorted orders are elementwise at least b's, so psi(a) >=
-    psi(b): a smaller order sum is an exact reject in O(1).  Otherwise
-    only thresholds at a's orders need checking: between two of them a's
-    count stays fixed while b's can only rise.  Once b's orders are used
-    up, b's count is the total, which a's never exceeds.
+    psi(b): a smaller order sum is an exact reject in O(1).  Past it, two
+    sequences with threshold keys on one grid (equal totals and bases)
+    are compared at every grid point at once: (key_b | guard) - key_a
+    takes F_a(g) from guard + F_b(g) in each field, no borrow crosses a
+    field since F_a(g) <= total < guard bit, and a field keeps its guard
+    bit exactly when F_a(g) <= F_b(g).  Both counts change only at grid
+    points, so that is every threshold.  Keys are built on first use.
+    Otherwise the orders are merged, and only thresholds at a's orders
+    need checking: between two of them a's count stays fixed while b's
+    can only rise.  Once b's orders are used up, b's count is the total,
+    which a's never exceeds.
     """
     if a.total != b.total:
         raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
     if a._psi < b._psi:
         return False
+    ka = a._key
+    if ka is None:
+        ka = a._key = _threshold_key(a)
+    kb = b._key
+    if kb is None:
+        kb = b._key = _threshold_key(b)
+    if ka and kb and ka[0] == kb[0]:
+        guard = ka[2]
+        return ((kb[1] | guard) - ka[1]) & guard == guard
     pb = b.pairs
     nb = len(pb)
     ca = cb = ib = 0

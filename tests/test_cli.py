@@ -325,6 +325,17 @@ def test_partition_errors(capsys):
     assert code == 3
 
 
+def test_realize_on_a_semiprime_past_the_factor_cap_exits_3(capsys):
+    # the mod-p rule factorizes n; trial division toward 10**9 used to run for minutes
+    n = 1000000007 * 1000000009
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "realize", f"1:1,{n}:{n - 1}", str(n))
+    assert code == 3
+    assert out == ""
+    assert "capped" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 10
+
+
 @pytest.mark.parametrize("parts", ["15000,1", "59,2", "60,1", "1000000000,1"])
 def test_partition_details_past_the_size_cap_exit_3(capsys, parts):
     # |parts| > 60 would build p**|parts|; the cap refuses before that, with no traceback

@@ -3,6 +3,7 @@ import pytest
 from ordseq.errors import PreconditionError, SizeLimitError
 from ordseq.numth import (
     PRIME_TEST_LIMIT,
+    TRIAL_DIVISOR_LIMIT,
     euler_phi,
     factorize,
     is_power_of,
@@ -35,6 +36,16 @@ def test_factorize_is_not_capped():
     # prime powers far above the primality cap, as landscape sequences need
     assert factorize(23**15) == ((23, 15),)
     assert factorize(2**64 * 3) == ((2, 64), (3, 1))
+
+
+def test_factorize_refuses_cofactors_past_the_trial_divisor_cap():
+    assert TRIAL_DIVISOR_LIMIT == 10**6
+    # a cofactor below the square of the next divisor is prime, as is_prime would certify it
+    assert factorize(999_999_999_989) == ((999_999_999_989, 1),)
+    assert factorize(2 * 999_999_999_989) == ((2, 1), (999_999_999_989, 1))
+    for n in (1000000007 * 1000000009, 1000003**2, 999_999_999_989**2):
+        with pytest.raises(SizeLimitError):
+            factorize(n)
 
 
 def test_factorize_known():

@@ -13,6 +13,7 @@ from ordseq.errors import LengthMismatch, ParseError, PreconditionError
 from ordseq.groups import abelian, alternating, cyclic, dicyclic, direct_product, symmetric
 from ordseq.partitions import abelian_order_sequence, partitions_of
 from ordseq.sequences import (
+    GRID_LIMIT,
     HallCertificate,
     OrderSequence,
     comparable,
@@ -30,6 +31,7 @@ from ordseq.sequences import (
     seq_product,
     strictly_dominates,
     strong_domination,
+    _threshold_key,
 )
 
 
@@ -50,6 +52,14 @@ def test_parse_errors(text):
 def test_nonpositive_entries_rejected(text):
     with pytest.raises(PreconditionError):
         parse_sequence(text)
+
+
+@pytest.mark.parametrize(
+    "counts", [{1: 1, 2.5: 1}, {1: 1.0}, [(1, 1), (2, 1.5)], [(2.0, 1)], {1: 1, "2": 1}, {1: 1, 2: None}]
+)
+def test_non_integer_entries_rejected(counts):
+    with pytest.raises(PreconditionError):
+        OrderSequence(counts)
 
 
 def test_constructor_accepts_mappings():
@@ -536,3 +546,95 @@ def test_length_mismatch_comes_before_the_psi_reject(a, b):
     for x, y in ((a, b), (b, a)):
         with pytest.raises(LengthMismatch):
             dominates(x, y)
+
+
+_TOTALS = [12, 36, 60, 64, 72, 210, 360, 720, 3**6, 2**4 * 5**2]
+
+
+@st.composite
+def _divisor_multisets(draw):
+    """Two sequences of one total n over divisors of n, both holding every
+    prime of n, so their minimal orders are those primes and both have keys."""
+    n = draw(st.sampled_from(_TOTALS))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    primes = [d for d in divisors[1:] if all(d % e for e in range(2, d))]
+
+    def one():
+        extra = draw(st.lists(st.sampled_from(divisors), max_size=6))
+        orders = sorted(set(primes) | set(extra))
+        k = len(orders) - 1
+        cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1), min_size=k, max_size=k)))
+        return OrderSequence(zip(orders, (hi - lo for lo, hi in zip([0, *cuts], [*cuts, n]))))
+
+    return one(), one()
+
+
+@given(_divisor_multisets())
+def test_packed_keys_match_the_threshold_reference(pair):
+    a, b = pair
+    assert _threshold_key(a)[0] == _threshold_key(b)[0] != ()
+    assert dominates(a, b) == _threshold_dominates(a, b)
+    assert dominates(b, a) == _threshold_dominates(b, a)
+
+
+def _check_pairs(seqs):
+    for a in seqs:
+        for b in seqs:
+            assert dominates(a, b) == _threshold_dominates(a, b), (a, b)
+
+
+def test_a_composite_minimal_order_keys_on_its_own_grid():
+    # {1, 6, 36} is a grid of its own; against the primes 2, 3 the bases differ and the orders are merged
+    six = OrderSequence({1: 1, 6: 35})
+    assert _threshold_key(six)[0] == (6,)
+    c36 = cyclic_order_sequence(36)
+    assert _threshold_key(c36)[0] == (2, 3)
+    above = OrderSequence({1: 1, 6: 34, 36: 1})
+    _check_pairs([six, c36, above, OrderSequence({1: 2, 6: 33, 36: 1}), OrderSequence({1: 1, 2: 1, 3: 2, 6: 32})])
+    assert dominates(above, six) and not dominates(six, above)
+    assert not comparable(c36, six)
+
+
+def test_minimal_orders_that_are_not_coprime_have_no_key():
+    a, b = OrderSequence({1: 1, 4: 11, 6: 12}), OrderSequence({1: 1, 4: 5, 6: 6, 12: 12})
+    assert _threshold_key(a) == () and _threshold_key(b) == ()
+    _check_pairs([a, b, order_sequence(cyclic(24))])
+    assert dominates(b, a) and not dominates(a, b)
+
+
+def test_an_order_off_the_grid_has_no_key():
+    # 8 does not divide 12, and 5 is not a product of powers of 2 and 3
+    off = [OrderSequence({1: 1, 2: 3, 3: 2, 8: 6}), OrderSequence({1: 1, 2: 4, 3: 2, 5: 5})]
+    assert [_threshold_key(s) for s in off] == [(), ()]
+    _check_pairs(off + [order_sequence(g) for _, g in catalog(12)])
+
+
+def test_a_total_off_the_powers_of_the_base_has_no_key():
+    # 6 is not a power of 2, the only minimal order
+    seqs = [OrderSequence({1: 1, 2: 5}), OrderSequence({1: 3, 2: 3}), OrderSequence({1: 2, 2: 4})]
+    assert [_threshold_key(s) for s in seqs] == [(), (), ()]
+    _check_pairs(seqs)
+
+
+def test_a_total_with_too_many_grid_points_has_no_key():
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    n = 2**4 * 3**3 * 5**2 * math.prod(primes[3:])
+    assert 5 * 4 * 3 * 2**7 > GRID_LIMIT
+    seqs = [
+        OrderSequence({1: 1, **{p: p - 1 for p in primes}, n: n - sum(primes) + len(primes) - 1}),
+        OrderSequence({1: 1, **{p: p - 1 for p in primes}, 4: 2, n // 2: n - sum(primes) + len(primes) - 3}),
+        OrderSequence({1: 1, **{p: 2 * (p - 1) for p in primes}, n: n - 2 * (sum(primes) - len(primes)) - 1}),
+    ]
+    assert [_threshold_key(s) for s in seqs] == [(), (), ()]
+    _check_pairs(seqs)
+
+
+def test_keys_over_a_large_prime_need_no_factoring():
+    # factorize(p**3) is refused past the trial-divisor cap, so this passes only if no key factors
+    p = 999_999_999_989
+    seqs = [abelian_order_sequence(p, lam) for lam in partitions_of(3)]
+    assert all(_threshold_key(s)[0] == (p,) for s in seqs)
+    # C_p^3 above C_p^2 x C_p above C_p x C_p x C_p
+    assert [[dominates(a, b) for b in seqs] for a in seqs] == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    _check_pairs(seqs)
+
