@@ -40,21 +40,25 @@ def supported_orders() -> tuple[int, ...]:
     return tuple(sorted(KNOWN_GROUP_COUNTS))
 
 
+@lru_cache(maxsize=None)
 def frobenius20() -> CyclicExtensionGroup:
     """Order 20, a five-cycle twisted by an order-4 multiplier."""
     return CyclicExtensionGroup(cyclic(5), 4, power_map(5, 2), name="F20")
 
 
+@lru_cache(maxsize=None)
 def frobenius21() -> CyclicExtensionGroup:
     """Order 21, a seven-cycle twisted by an order-3 multiplier."""
     return CyclicExtensionGroup(cyclic(7), 3, power_map(7, 2), name="F21")
 
 
+@lru_cache(maxsize=None)
 def modular16() -> CyclicExtensionGroup:
     """The modular group of order 16: C8 twisted by the fifth-power map."""
     return CyclicExtensionGroup(cyclic(8), 2, power_map(8, 5), name="M16")
 
 
+@lru_cache(maxsize=None)
 def semidihedral16() -> CyclicExtensionGroup:
     """The semidihedral group of order 16: C8 twisted by the cube map."""
     return CyclicExtensionGroup(cyclic(8), 2, power_map(8, 3), name="SD16")

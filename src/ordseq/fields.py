@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import NoSuchOrder, PreconditionError, SizeLimitError
-from .groups import AbelianGroup, CyclicExtensionGroup, PermutationGroup
+from .groups import CyclicExtensionGroup, PermutationGroup, abelian
 from .numth import factorize, is_prime
 
 FIELD_SIZE_LIMIT = 4096
@@ -49,7 +49,7 @@ class FiniteField:
     """Field with p**d elements and arithmetic on integer codes.
 
     `add` and `neg` are the product and inverse of `additive`, the
-    AbelianGroup([p] * d), whose stride arithmetic adds the base-p digits
+    abelian([p] * d), whose stride arithmetic adds the base-p digits
     mod p.  `mul`, `inv` and `element_order` go through the discrete
     logarithm to the base of the lowest-coded primitive element (Lidl &
     Niederreiter, Finite Fields, ch. 9): exp[i] is its i-th power and log
@@ -65,7 +65,7 @@ class FiniteField:
         self.d = d
         self.order = p**d
         self.modulus = self._find_modulus()
-        self.additive = AbelianGroup([p] * d)
+        self.additive = abelian([p] * d)
         self.add = self.additive.mul
         self.neg = self.additive.inv
         self._exp = self._primitive_powers()
@@ -161,6 +161,7 @@ def element_of_order(field: FiniteField, r: int) -> int:
     raise AssertionError("a cyclic unit group has elements of every dividing order")
 
 
+@lru_cache(maxsize=None)
 def affine_frobenius_group(p: int, d: int, q: int) -> CyclicExtensionGroup:
     """The affine maps x -> a*x + b over F_(p**d) with a of multiplicative order q.
 

@@ -14,6 +14,11 @@ elements, is checked exactly on it (associativity by Light's test) and
 then multiplies by table lookup and reads its inverses off the table; a
 larger group gets seeded spot checks and takes its inverses from the
 power walk of element_orders.
+
+The public constructors are memoized (lru_cache), so each distinct group
+is built and checked once per process and the same call returns the
+same object; a refused build is not cached.  Groups are never changed
+after they are built, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from functools import reduce
-from itertools import chain
+from functools import lru_cache, reduce
+from itertools import chain, islice
 from operator import itemgetter
 
 from .errors import (
@@ -455,16 +460,28 @@ class CyclicExtensionGroup(FiniteGroup):
         perms = [tuple(range(n))]
         for _ in range(k - 1):
             perms.append(tuple(gen_perm[x] for x in perms[-1]))
+        mul = target.mul
+        rows = target.table
         if n <= _EXHAUSTIVE_PAIRS:
             # exact for gen_perm, and every power of an automorphism is one
-            pairs = [(a, b) for a in range(n) for b in range(n)]
             powers = [(1, gen_perm)]
+            if rows is None:
+                pairs = [(a, b) for a in range(n) for b in range(n)]
+            else:
+                # row a of gen_perm(a*b) against gen_perm(a)*gen_perm(b) over all b;
+                # the loop below scans the first row that differs for its first b
+                image = gen_perm.__getitem__
+                bad = (
+                    a
+                    for a, row in enumerate(rows)
+                    if tuple(map(image, row)) != tuple(map(rows[image(a)].__getitem__, gen_perm))
+                )
+                pairs = [(a, b) for a in islice(bad, 1) for b in range(n)]
         else:
             # a list, not an iterator: every power but the identity is checked on the same pairs
             draw = random.Random(0).randrange
             pairs = [(draw(n), draw(n)) for _ in range(_SPOT_SAMPLES)]
             powers = list(enumerate(perms))[1:]
-        mul = target.mul
         for h, perm in powers:
             for a, b in pairs:
                 if perm[mul(a, b)] != mul(perm[a], perm[b]):
@@ -523,11 +540,21 @@ class PermutationGroup(FiniteGroup):
                         raise SizeLimitError(f"permutation closure exceeded {MAX_GROUP_SIZE} elements")
                     index[y] = len(elems)
                     elems.append(y)
-        super().__init__(len(elems), name or f"Perm{len(elems)}")
+        n = len(elems)
+        super().__init__(n, name or f"Perm{n}")
         self.perms = elems
         self._index = index
-        if len(elems) <= TABLE_LIMIT:
-            self.table = tuple(tuple(index[tuple(map(pa.__getitem__, pb))] for pb in elems) for pa in elems)
+        if n <= TABLE_LIMIT:
+            # the closure found each y but the identity as x * g with x found before y,
+            # so column y is column x mapped through g's right list: right[c] = c * g
+            rights = [[index[tuple(map(pc.__getitem__, g))] for pc in elems] for g in gens]
+            cols = [range(n)] + [None] * (n - 1)
+            for x in range(n):
+                for right in rights:
+                    y = right[x]
+                    if cols[y] is None:
+                        cols[y] = tuple(map(right.__getitem__, cols[x]))
+            self.table = tuple(zip(*cols))
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:
@@ -550,7 +577,7 @@ class TableGroup(FiniteGroup):
 
 def cyclic(n: int) -> AbelianGroup:
     """Integers modulo n under addition."""
-    return AbelianGroup((n,))
+    return abelian((n,))
 
 
 def abelian_name(moduli) -> str:
@@ -559,9 +586,15 @@ def abelian_name(moduli) -> str:
 
 
 def abelian(moduli, name: str | None = None) -> AbelianGroup:
+    return _abelian(tuple(moduli), name)
+
+
+@lru_cache(maxsize=None)
+def _abelian(moduli: tuple, name: str | None) -> AbelianGroup:
     return AbelianGroup(moduli, name)
 
 
+@lru_cache(maxsize=None)
 def direct_product(left: FiniteGroup, right: FiniteGroup, name: str | None = None) -> DirectProductGroup:
     return DirectProductGroup(left, right, name)
 
@@ -571,6 +604,7 @@ def power_map(n: int, r: int) -> tuple[int, ...]:
     return tuple(r * x % n for x in range(n))
 
 
+@lru_cache(maxsize=None)
 def dihedral(order: int) -> FiniteGroup:
     """Symmetries of the regular (order/2)-gon."""
     if order % 2 or order < 2:
@@ -579,6 +613,7 @@ def dihedral(order: int) -> FiniteGroup:
     return CyclicExtensionGroup(cyclic(m), 2, power_map(m, -1), name=f"D{order}")
 
 
+@lru_cache(maxsize=None)
 def dicyclic(order: int, name: str | None = None) -> CyclicExtensionGroup:
     """Order 4m: a of order 2m, b**2 = a**m and b a b' = a'; a**i * b**j has index 2i + j."""
     m, r = divmod(order, 4)
@@ -589,6 +624,7 @@ def dicyclic(order: int, name: str | None = None) -> CyclicExtensionGroup:
     return CyclicExtensionGroup(cyclic(2 * m), 2, power_map(2 * m, -1), m, name=name or f"Dic{order}")
 
 
+@lru_cache(maxsize=None)
 def heisenberg(p: int) -> CyclicExtensionGroup:
     """Unitriangular 3x3 matrices over the prime field, for odd p.
 
@@ -613,6 +649,7 @@ def _check_factorial_order(m: int, d: int) -> None:
             raise SizeLimitError(f"group order exceeds the cap of {MAX_GROUP_SIZE}")
 
 
+@lru_cache(maxsize=None)
 def symmetric(m: int) -> PermutationGroup:
     """Symmetric group on m points."""
     if m < 1:
@@ -626,6 +663,7 @@ def symmetric(m: int) -> PermutationGroup:
     return PermutationGroup(m, [tuple(swap), cycle], name=f"S{m}")
 
 
+@lru_cache(maxsize=None)
 def alternating(m: int) -> PermutationGroup:
     """Alternating group on m points, generated by 3-cycles through 0 and 1."""
     if m < 1:

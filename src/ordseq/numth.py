@@ -1,13 +1,14 @@
 """Small number-theoretic helpers used throughout the package.
 
 Everything here works on plain Python ints and stays exact, by trial
-division.  is_prime refuses n above PRIME_TEST_LIMIT, so one call makes at
-most 5 * 10**5 trial divisions.  factorize divides only up to the square
-root of the cofactor left, so a number whose prime factors are small,
-such as p**15, factorizes at once however large it is.  It refuses n once
-the trial divisor passes isqrt(PRIME_TEST_LIMIT) with the cofactor still
-above its square: that cofactor could only be split, or shown prime, by
-trial division past the cap is_prime keeps.
+division, and is_prime and factorize keep one cap.  Each divides only up
+to the square root of what is left, so a number whose prime factors are
+small, such as p**15, factorizes at once however large it is, and one
+with a small factor is shown composite at once.  Each refuses n once its
+trial divisor passes TRIAL_DIVISOR_LIMIT, isqrt(PRIME_TEST_LIMIT), with
+the divisor's square still at most what is left: only trial division past
+the cap could settle that.  So every n up to PRIME_TEST_LIMIT is
+answered, and one call makes at most 5 * 10**5 trial divisions.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ TRIAL_DIVISOR_LIMIT = isqrt(PRIME_TEST_LIMIT)
 def is_prime(n: int) -> bool:
     """Return True when n is prime, by trial division up to sqrt(n).
 
-    Raises SizeLimitError when n exceeds PRIME_TEST_LIMIT.
+    Raises SizeLimitError when no divisor up to TRIAL_DIVISOR_LIMIT
+    divides n and the next one's square is still at most n.
     """
-    if n > PRIME_TEST_LIMIT:
-        raise SizeLimitError(f"primality test is capped at {PRIME_TEST_LIMIT}")
     if n < 2:
         return False
     if n < 4:
@@ -36,6 +36,8 @@ def is_prime(n: int) -> bool:
         return False
     f = 3
     while f * f <= n:
+        if f > TRIAL_DIVISOR_LIMIT:
+            raise SizeLimitError(f"primality test is capped at trial divisors up to {TRIAL_DIVISOR_LIMIT}")
         if n % f == 0:
             return False
         f += 2

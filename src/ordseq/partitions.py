@@ -97,8 +97,11 @@ def _element_counts(p: int, a) -> list[int]:
         raise SizeLimitError(f"abelian p-groups are capped at p**{MAX_PARTITION_TOTAL} elements")
     counts = []
     below = 1
+    m = len(a)  # the parts at least j, the j-th part of the conjugate
     for j in range(1, a[0] + 1 if a else 1):
-        dividing = p ** sum(min(x, j) for x in a)
+        while a[m - 1] < j:
+            m -= 1
+        dividing = below * p**m
         counts.append(dividing - below)
         below = dividing
     return counts
@@ -155,15 +158,21 @@ def _box_move(cur, c) -> tuple[int, ...]:
     for the farthest later row that keeps a partition majorizing c.
     """
     row = cur + (0,)
-    # slack[k]: how far row's k-th prefix sum exceeds c's
-    slack = list(accumulate(x - y for x, y in zip(row, c + (0,) * len(row))))
-    i = next(k for k, v in enumerate(slack) if v > 0)
-    r = i
-    while row[r + 1] == row[i]:
-        r += 1
-    t = r
-    while t + 1 < len(row) and slack[t + 1] > 0:
-        t += 1
+    c += (0,)  # c is at least as long as cur
+    # slack: how far row's prefix sum through k exceeds c's, kept as k runs
+    k = 0
+    slack = row[0] - c[0]
+    while slack <= 0:
+        k += 1
+        slack += row[k] - c[k]
+    while row[k + 1] == row[k]:
+        k += 1
+        slack += row[k] - c[k]
+    r = k
+    while k + 1 < len(row) and slack + row[k + 1] - c[k + 1] > 0:
+        k += 1
+        slack += row[k] - c[k]
+    t = k
     for s in range(min(t + 1, len(row) - 1), r, -1):
         if row[s - 1] > row[s] + (s == r + 1):
             break

@@ -99,7 +99,9 @@ def parse_sequence(text: str) -> OrderSequence:
     return OrderSequence(counts)
 
 
+@lru_cache(maxsize=None)
 def order_sequence(group) -> OrderSequence:
+    """The order sequence of a group, once per group (groups hash by identity)."""
     counts: dict[int, int] = {}
     for o in group.element_orders():
         counts[o] = counts.get(o, 0) + 1

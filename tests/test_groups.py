@@ -1,7 +1,10 @@
 import hashlib
 import importlib
 import pkgutil
+import re
 from collections import Counter
+from functools import partial
+from itertools import permutations
 
 import pytest
 
@@ -15,7 +18,7 @@ from ordseq.errors import (
     PreconditionError,
     SizeLimitError,
 )
-from ordseq.catalog import catalog, group_by_name, supported_orders
+from ordseq.catalog import catalog, frobenius20, group_by_name, supported_orders
 from ordseq.fields import affine_frobenius_group
 from ordseq.groups import (
     TABLE_LIMIT,
@@ -232,6 +235,54 @@ def test_semidirect_inversion_gives_dihedral():
     g = CyclicExtensionGroup(cyclic(5), 2, power_map(5, -1))
     assert g.size == 10
     assert order_sequence(g) == order_sequence(dihedral(10))
+
+
+def test_constructors_build_each_group_once():
+    assert cyclic(5) is cyclic(5)
+    assert abelian([2, 2]) is abelian((2, 2))
+    assert dicyclic(8) is not dicyclic(8, "Q8")
+    assert dicyclic(8, "Q8") is dicyclic(8, "Q8")
+    assert direct_product(cyclic(2), cyclic(3)) is direct_product(cyclic(2), cyclic(3))
+    assert frobenius20() is frobenius20()
+    assert affine_frobenius_group(2, 2, 3) is affine_frobenius_group(2, 2, 3)
+    g = symmetric(3)
+    assert order_sequence(g) is order_sequence(g)
+    # a refusal is not cached: every call raises again
+    cached = symmetric.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(SizeLimitError):
+            symmetric(9)
+    assert symmetric.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*(partial(symmetric, m) for m in range(1, 6)), *(partial(alternating, m) for m in range(1, 6))]
+    + [partial(PermutationGroup, 6, [(1, 2, 3, 4, 5, 0)])],
+    ids=[*(f"S{m}" for m in range(1, 6)), *(f"A{m}" for m in range(1, 6)), "cyclic-degree-6"],
+)
+def test_permutation_tables_are_composition_tables(build):
+    g = build()
+    perms, n = g.perms, g.size
+    index = {p: i for i, p in enumerate(perms)}
+    brute = tuple(tuple(index[tuple(pa[i] for i in pb)] for pb in perms) for pa in perms)
+    assert (g.table is not None) == (n <= TABLE_LIMIT)
+    assert tuple(tuple(g.mul(a, b) for b in range(n)) for a in range(n)) == brute
+
+
+@pytest.mark.parametrize("build", [partial(cyclic, 4), partial(abelian, [2, 2]), partial(symmetric, 3)])
+def test_automorphism_check_reports_the_first_failing_pair(build):
+    target = build()
+    n, mul = target.size, target.mul
+    bad = 0
+    for perm in permutations(range(n)):
+        first = next(((a, b) for a in range(n) for b in range(n) if perm[mul(a, b)] != mul(perm[a], perm[b])), None)
+        if first is None:
+            continue
+        bad += 1
+        with pytest.raises(ActionNotAutomorphism, match=re.escape(f"acting element 1 breaks the product at {first}")):
+            CyclicExtensionGroup(target, 2, perm)
+    assert bad > 0
 
 
 def test_action_validation():
@@ -619,7 +670,7 @@ def test_structural_tables_match_their_mul():
         assert g.table == tuple(tuple(mul(g, a, b) for b in range(n)) for a in range(n)), g.name
 
 
-def test_structural_backings_build_without_mul(monkeypatch):
+def test_structural_backings_build_without_mul(monkeypatch, fresh_builds):
     calls = []
     for cls in _STRUCTURAL:
         def counted(self, a, b, _mul=cls.mul):
@@ -629,7 +680,7 @@ def test_structural_backings_build_without_mul(monkeypatch):
         monkeypatch.setattr(cls, "mul", counted)
     for n in supported_orders():
         if n <= TABLE_LIMIT:
-            # past the cache, so every group is built here
+            # past the caches, so every group is built here
             for name, g in catalog.__wrapped__(n):
                 assert g.table is not None, name
     for g in _verify_affine_groups():

@@ -27,9 +27,18 @@ def test_is_prime_carmichael():
 def test_is_prime_is_capped():
     assert is_prime(999_999_999_989)  # the largest prime below the cap
     assert not is_prime(PRIME_TEST_LIMIT)
-    for n in (PRIME_TEST_LIMIT + 1, 2**61 - 1, 10**5000):
+    # a small factor settles n past the cap: 10**12 + 1 = 73 * 137 * 99990001
+    assert not is_prime(PRIME_TEST_LIMIT + 1)
+    assert not is_prime(10**5000)
+    for n in (2**61 - 1, 1000003**2, 1000000007 * 1000000009, 999_999_999_989**2):
         with pytest.raises(SizeLimitError):
             is_prime(n)
+
+
+def test_is_prime_and_factorize_keep_one_cap():
+    # a prime just above the cap needs no trial divisor past TRIAL_DIVISOR_LIMIT, for either
+    assert factorize(10**12 + 39) == ((10**12 + 39, 1),)
+    assert is_prime(10**12 + 39)
 
 
 def test_factorize_is_not_capped():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -14,6 +15,8 @@ from ordseq.errors import (
 )
 from ordseq.groups import abelian, symmetric
 from ordseq.partitions import (
+    _box_move,
+    _element_counts,
     abelian_order_sequence,
     box_move_chain,
     conjugate,
@@ -190,6 +193,22 @@ def test_box_move_chain_digest_is_pinned():
                     pairs += 1
     assert pairs == 1720
     assert h.hexdigest()[:16] == "4e997adddc01490e"
+
+
+def test_partition_kernels_are_pinned():
+    # pinned to the output of the earlier list-based kernels: every box move
+    # between majorizing partitions up to 14, and every layer count
+    moves = [
+        [b, c, _box_move(b, c)]
+        for n in range(15)
+        for b in partitions_of(n)
+        for c in partitions_of(n)
+        if b != c and majorizes(b, c)
+    ]
+    counts = [[p, lam, _element_counts(p, lam)] for p in (2, 3, 5) for n in range(15) for lam in partitions_of(n)]
+    assert (len(moves), len(counts)) == (17470, 1524)
+    digest = hashlib.sha256(json.dumps([moves, counts]).encode()).hexdigest()
+    assert digest == "5074822df1438b6dc19572b9c3349fd6c75d1f69b7bd28a72b30e9b168a176e9"
 
 
 def test_box_move_chain_errors():

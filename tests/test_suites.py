@@ -279,8 +279,9 @@ def test_partition_suite_makes_one_box_move_per_pair(monkeypatch):
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """Names of the groups built (their axioms checked) from here on, in order."""
+def builds(monkeypatch, fresh_builds):
+    """Names of the groups built (their axioms checked) from here on, in order;
+    the catalogs are built, the memoized constructors are not."""
     names = []
     finalize = FiniteGroup._finalize
 
@@ -294,6 +295,7 @@ def builds(monkeypatch):
     # the group-built listings are test oracles; the suites must not need them
     abelian_groups_of_order.cache_clear()
     nilpotent_groups_of_order.cache_clear()
+    fresh_builds()
     names.clear()
     return names
 
@@ -308,13 +310,15 @@ def test_sequence_only_suites_build_no_group(builds):
 
 
 @pytest.mark.parametrize("n", supported_orders())
-def test_nilpotent_minimality_builds_only_the_minimal_products(builds, n):
+def test_nilpotent_minimality_builds_only_the_minimal_products(builds, fresh_builds, n):
     witness = nonnilpotent_order_witness(n) is not None
     if witness:
         minimal_nonnilpotent_group(n)  # fills the field cache
+    fresh_builds()
     builds.clear()
     rep = suite_nilpotent_minimality(n)
     built = list(builds)
+    fresh_builds()
     builds.clear()
     # each minimal product, then the witness group
     classes = rep.notes[0].removeprefix("minimal nilpotent classes: ").split(", ")
