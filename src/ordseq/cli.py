@@ -221,6 +221,13 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 
 def _cmd_partition(args) -> int:
     if "," not in args.parts:
+        if args.chain is not None:
+            print(
+                "error: --chain needs a partition, not a total"
+                " (write a one-part partition with a trailing comma, like 5,)",
+                file=sys.stderr,
+            )
+            return 2
         try:
             n = int(args.parts)
         except ValueError:
@@ -303,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("partition", parents=[common], help="partition tools: list, inspect, chain")
-    p.add_argument("parts", help="an integer to list partitions, or parts like '4,1,1'")
+    p.add_argument("parts", help="an integer to list partitions, or parts like '4,1,1' (one part: '5,')")
     p.add_argument("--p", type=int, default=2, help="prime for sequence and subgroup counts")
     p.add_argument("--chain", help="target partition for a box-move chain")
     p.set_defaults(func=_cmd_partition)

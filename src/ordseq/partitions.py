@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import ge
+from operator import ge, index, lt
 
 from .errors import (
     NotAbelianPGroupSequence,
@@ -26,11 +26,14 @@ MAX_PARTITION_TOTAL = 60
 
 
 def partition(parts) -> tuple[int, ...]:
-    """Validate and normalize a partition given as an iterable of parts."""
-    parts = tuple(int(x) for x in parts)
-    if any(x < 1 for x in parts):
+    """Validate and normalize a partition given as an iterable of integer parts."""
+    try:
+        parts = tuple(map(index, parts))
+    except TypeError:
+        raise PreconditionError("parts must be integers") from None
+    if parts and min(parts) < 1:
         raise PreconditionError("parts must be positive")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if any(map(lt, parts, parts[1:])):
         raise PreconditionError("parts must be non-increasing")
     return parts
 
@@ -49,17 +52,12 @@ def majorizes(a, b) -> bool:
     n = sum(a)
     if n != sum(b):
         raise SizeMismatch(f"partitions have sizes {n} and {sum(b)}")
-    return _majorizes(_prefix_sums(a, n), _prefix_sums(b, n))
+    return all(map(ge, _prefix_sums(a, n), _prefix_sums(b, n)))
 
 
 def _prefix_sums(a, n: int) -> tuple[int, ...]:
     """Prefix sums of a valid partition a of n, padded with n to length n."""
     return tuple(accumulate(a)) + (n,) * (n - len(a))
-
-
-def _majorizes(sa, sb) -> bool:
-    """majorizes, given both partitions' _prefix_sums."""
-    return all(map(ge, sa, sb))
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
@@ -181,7 +179,11 @@ def _box_move(cur, c) -> tuple[int, ...]:
     moved = list(row)
     moved[r] -= 1
     moved[s] += 1
-    return tuple(x for x in moved if x)
+    # row r holds as many boxes as the first row where cur exceeds c, so at
+    # least 2: only the padding slot can be 0
+    if not moved[-1]:
+        del moved[-1]
+    return tuple(moved)
 
 
 def defining_partition(seq: OrderSequence, p: int) -> tuple[int, ...]:

@@ -3,12 +3,19 @@
 Every suite returns a SuiteReport whose failure list is empty exactly when
 all of its checks passed.  All bound comparisons are exact integer
 comparisons; nothing here touches floating point.
+
+The partition suite, the largest by case count, holds each relation on
+the partitions of n as one column mask per partition (bit i for the
+i-th) and compares whole columns; it walks single pairs only to word
+the failures of a column that disagrees.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import compress, repeat
+from operator import neg
 
 from .catalog import (
     abelian_sequences_of_order,
@@ -27,14 +34,13 @@ from .groups import FiniteGroup, abelian, alternating, cyclic, dicyclic, direct_
 from .numth import euler_phi, factorize, is_prime, prime_divisors
 from .partitions import (
     _box_move,
-    _majorizes,
     _prefix_sums,
     abelian_order_sequence,
     conjugate,
     cyclic_subgroup_counts,
     partitions_of,
 )
-from .posets import build_poset, extremes
+from .posets import build_poset, coordinatewise_up, extremes
 from .sequences import (
     comparable,
     cyclic_order_sequence,
@@ -292,67 +298,90 @@ def _partition_facts(n: int):
     """The half of suite_partition(n, p) that does not depend on p, worked out once per n.
 
     Returns the partitions of n, their cyclic-subgroup counts (the
-    part_product of cyclic_subgroup_counts, the same for every p) and, per
-    ordered pair (lam, mu), the row (lam, mu, majorization, conjugate
-    majorization, count monotone, chain increasing); the last two are None
-    unless lam majorizes mu and differs from it.  Read-only: the cache
-    hands every caller the same objects.
+    part_product of cyclic_subgroup_counts, the same for every p) and,
+    per mu, four columns: masks over the partitions, bit i for the i-th.
+    They hold the lam that majorize mu, the lam whose conjugate mu's
+    conjugate majorizes, the lam with counts[lam] <= counts[mu], and the
+    lam majorizing mu whose box-move chain down to mu strictly raises the
+    count (mu's own bit is set).  The first three are coordinatewise
+    up-sets of prefix sums and counts.  Read-only: the cache hands every
+    caller the same objects.
     """
     parts = partitions_of(n)
     counts = {lam: cyclic_subgroup_counts(2, lam).part_product for lam in parts}
-    sums = {lam: _prefix_sums(lam, n) for lam in parts}
-    conj_sums = {lam: _prefix_sums(conjugate(lam), n) for lam in parts}
-    # rising[lam, mu], for every lam majorizing mu: the box-move chain from
-    # lam to mu strictly raises the count.  That chain is lam and then the
-    # chain from its first move, which lands lexicographically lower: walking
-    # parts in reverse finds its entry done, and a move with none fails.
-    rising = {}
-    for mu in parts:
-        rising[mu, mu] = True
-        for lam in reversed(parts):
-            if lam != mu and _majorizes(sums[lam], sums[mu]):
-                nxt = _box_move(lam, mu)
-                rising[lam, mu] = rising.get((nxt, mu), False) and counts[lam] < counts[nxt]
-    rows = []
-    for lam in parts:
-        for mu in parts:
-            maj = (lam, mu) in rising
-            conj = _majorizes(conj_sums[mu], conj_sums[lam])
-            monotone = steps_ok = None
-            if maj and lam != mu:
-                monotone = counts[lam] <= counts[mu]
-                steps_ok = rising[lam, mu]
-            rows.append((lam, mu, maj, conj, monotone, steps_ok))
-    return tuple(parts), counts, tuple(rows)
+    maj = coordinatewise_up([_prefix_sums(lam, n) for lam in parts])
+    conj = coordinatewise_up([tuple(map(neg, _prefix_sums(conjugate(lam), n))) for lam in parts])
+    monotone = coordinatewise_up([(-counts[lam],) for lam in parts])
+    # The chain from lam is lam and then the chain from its first move,
+    # which lands lexicographically lower, at a higher index: walking mu's
+    # majorization column from its highest bit finds that bit decided, and
+    # a move off the partitions of n has none.
+    bit = {lam: 1 << i for i, lam in enumerate(parts)}
+    rising = []
+    for mu, above in zip(parts, maj):
+        column = bit[mu]
+        rest = above & ~column
+        while rest:
+            i = rest.bit_length() - 1
+            rest ^= 1 << i
+            lam = parts[i]
+            nxt = _box_move(lam, mu)
+            if column & bit.get(nxt, 0) and counts[lam] < counts[nxt]:
+                column |= 1 << i
+        rising.append(column)
+    return tuple(parts), counts, tuple(zip(maj, conj, monotone, rising))
+
+
+def _partition_failures(parts, dom, columns) -> list[str]:
+    """suite_partition's failure lines, pair by pair with lam before mu, read off the columns."""
+    failures = []
+    for i, lam in enumerate(parts):
+        for j, mu in enumerate(parts):
+            maj, conj, monotone, rising = (bool(c >> i & 1) for c in columns[j])
+            d = bool(dom[j] >> i & 1)
+            if not d == maj == conj:
+                failures.append(f"{lam} vs {mu}: domination {d}, majorization {maj}, conjugate {conj}")
+            if not maj or i == j:
+                continue
+            if not monotone:
+                failures.append(f"cyclic-subgroup count not monotone from {lam} to {mu}")
+            if not rising:
+                failures.append(f"box-move chain from {lam} to {mu} is not strictly increasing")
+    return failures
 
 
 def suite_partition(n: int, p: int) -> SuiteReport:
-    """Majorization, conjugate reversal and sequence domination agree on abelian p-groups."""
+    """Majorization, conjugate reversal and sequence domination agree on abelian p-groups.
+
+    Each check runs on a whole column at once: per mu, the lam whose
+    sequence dominates mu's (one dominates call per pair) must be exactly
+    the lam majorizing mu and the lam passing the conjugate test, and
+    every lam strictly majorizing mu must have a count at most mu's and a
+    strictly rising box-move chain.  Only a column that disagrees sends
+    the suite through the pairs to say which.
+    """
     if n > 10:
         raise PreconditionError("partition suite is capped at n = 10")
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     rep = SuiteReport(f"partition[{n},p={p}]")
-    parts, counts, rows = _partition_facts(n)
-    seqs = {lam: abelian_order_sequence(p, lam) for lam in parts}
-    for lam, mu, maj, conj, monotone, steps_ok in rows:
-        rep.cases += 1
-        dom = dominates(seqs[lam], seqs[mu])
-        if not dom == maj == conj:
-            rep.failures.append(f"{lam} vs {mu}: domination {dom}, majorization {maj}, conjugate {conj}")
-        if not maj or lam == mu:
-            continue
-        if not monotone:
-            rep.failures.append(f"cyclic-subgroup count not monotone from {lam} to {mu}")
-        if not steps_ok:
-            rep.failures.append(f"box-move chain from {lam} to {mu} is not strictly increasing")
+    parts, counts, columns = _partition_facts(n)
+    seqs = [abelian_order_sequence(p, lam) for lam in parts]
+    bit = [1 << i for i in range(len(parts))]
+    dom = [sum(compress(bit, map(dominates, seqs, repeat(s)))) for s in seqs]
+    rep.cases += len(parts) ** 2
+    if any(
+        d != maj or d != conj or maj & ~b & ~(monotone & rising)
+        for d, b, (maj, conj, monotone, rising) in zip(dom, bit, columns)
+    ):
+        rep.failures += _partition_failures(parts, dom, columns)
     if (n, p) == (6, 2):
         rep.cases += 1
         a, b = (4, 1, 1), (3, 3)
         ok = (
             counts[a] == 20
             and counts[b] == 16
-            and not comparable(seqs[a], seqs[b])
+            and not comparable(seqs[parts.index(a)], seqs[parts.index(b)])
         )
         rep.require(ok, "converse counterexample (4,1,1) vs (3,3) did not reproduce")
         rep.note("counterexample: counts 20 vs 16 with incomparable sequences")

@@ -1,6 +1,14 @@
+import os
 import sys
 
 import pytest
+from hypothesis import settings
+
+# Shared CI runners: the same examples on every run and no per-example
+# deadline, so a slow runner or a fresh random draw cannot fail the job.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

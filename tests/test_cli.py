@@ -325,6 +325,45 @@ def test_partition_errors(capsys):
     assert code == 3
 
 
+def test_partition_chain_needs_a_partition(capsys):
+    # a bare total lists partitions, so a chain has no partition to start from
+    code, out, err = run_cli(capsys, "partition", "5", "--chain", "3,2")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --chain needs a partition")
+    code, out, _ = run_cli(capsys, "partition", "5,", "--chain", "3,2")
+    assert code == 0
+    assert out.splitlines() == ["5", "4,1", "3,2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "partition 61",
+        "partition -1",
+        "partition 0,1",
+        "partition 3,2 --p 4",
+        "partition 3,2 --chain 4",
+        "partition 5 --chain 3,2",
+        "poset 17",
+        "poset -3",
+        "os C0",
+        "os S9",
+        "compare C4 C2",
+        "graph power C0",
+        "verify --suite unique-max --order 17",
+        "verify --suite order16 --order 3",
+        "verify --suite gap-bounds --order 1",
+    ],
+)
+def test_malformed_input_ends_in_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code in (2, 3, 4, 5)
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_realize_on_a_semiprime_past_the_factor_cap_exits_3(capsys):
     # the mod-p rule factorizes n; trial division toward 10**9 used to run for minutes
     n = 1000000007 * 1000000009

@@ -40,6 +40,21 @@ def test_partition_validation():
         partition((1, 4, 1))
 
 
+@pytest.mark.parametrize("parts", [(2.7, 1), (1.9,), ["x"], ("3",), (None,), (2, 1.0)])
+def test_partition_refuses_non_integer_parts(parts):
+    # a float is never truncated and a string never parsed
+    with pytest.raises(PreconditionError, match="parts must be integers"):
+        partition(parts)
+
+
+def test_abelian_sequences_refuse_non_integer_parts():
+    with pytest.raises(PreconditionError):
+        abelian_order_sequence(2, (1.9,))
+    with pytest.raises(PreconditionError):
+        cyclic_subgroup_counts(3, (2.0, 1))
+    assert abelian_order_sequence(2, iter([1])) == abelian_order_sequence(2, (1,))
+
+
 def test_conjugate():
     assert conjugate((4, 1, 1)) == (3, 1, 1, 1)
     assert conjugate(()) == ()

@@ -1,14 +1,38 @@
 import hashlib
 import json
+from operator import ge
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordseq.catalog import catalog, supported_orders
 from ordseq.cli import _main
 from ordseq.errors import PreconditionError
 from ordseq.partitions import abelian_order_sequence, partitions_of
-from ordseq.posets import Poset, build_poset, extremes, hasse, render, sanitize_identifier
+from ordseq.posets import Poset, build_poset, coordinatewise_up, extremes, hasse, render, sanitize_identifier
 from ordseq.sequences import dominates, order_sequence
+
+
+_vector_lists = st.integers(min_value=0, max_value=5).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(min_value=-2, max_value=2)] * d), max_size=40)
+)
+
+
+@settings(max_examples=200)
+@given(_vector_lists)
+def test_coordinatewise_up_matches_pairwise_comparison(vectors):
+    # values from five, so ties and repeated vectors are common
+    expected = [sum(1 << i for i, v in enumerate(vectors) if all(map(ge, v, w))) for w in vectors]
+    assert coordinatewise_up(vectors) == expected
+
+
+def test_coordinatewise_up_edges():
+    assert coordinatewise_up([]) == []
+    assert coordinatewise_up([(), ()]) == [0b11, 0b11]
+    assert coordinatewise_up([(1, 0), (0, 1), (1, 1), (1, 1)]) == [0b1101, 0b1110, 0b1100, 0b1100]
+    assert coordinatewise_up(iter([(3,), (1,), (2,)])) == [0b001, 0b111, 0b101]
+    with pytest.raises(PreconditionError):
+        coordinatewise_up([(1, 2), (1,)])
 
 
 def _divisor_poset(n):

@@ -17,7 +17,7 @@ from ordseq.catalog import (
 from ordseq.errors import NoWitness, PreconditionError
 from ordseq.groups import FiniteGroup, abelian, cyclic, direct_product
 from ordseq.numth import is_prime
-from ordseq.partitions import box_move_chain, conjugate, majorizes, partitions_of
+from ordseq.partitions import abelian_order_sequence, box_move_chain, conjugate, majorizes, partitions_of
 from ordseq.sequences import cyclic_order_sequence, nilpotent_from_sequence, order_sequence, seq_join
 from ordseq.suites import (
     SUITES,
@@ -195,23 +195,27 @@ def test_partition_facts_do_not_depend_on_p(n):
 
 @pytest.mark.parametrize("n", range(11))
 def test_partition_facts_match_full_chain_walks(n):
-    # the suite decides each chain from its first move; rebuild every row
-    # from the public functions and whole chains instead
+    # the suite decides each chain from its first move and each column from
+    # masks; rebuild every column pair by pair from the public functions
+    # and whole chains instead
     parts = partitions_of(n)
     counts = {lam: math.prod(x + 1 for x in lam) for lam in parts}
-    rows = []
-    for lam in parts:
-        for mu in parts:
-            maj = majorizes(lam, mu)
-            conj = majorizes(conjugate(mu), conjugate(lam))
-            monotone = steps_ok = None
-            if maj and lam != mu:
-                monotone = counts[lam] <= counts[mu]
-                chain = box_move_chain(lam, mu)
+    columns = []
+    for mu in parts:
+        maj = conj = monotone = rising = 0
+        for i, lam in enumerate(parts):
+            if majorizes(lam, mu):
+                maj |= 1 << i
+                chain = box_move_chain(lam, mu) or [mu]
                 steps_ok = chain[0] == lam and chain[-1] == mu
-                steps_ok = steps_ok and all(counts[a] < counts[b] for a, b in zip(chain, chain[1:]))
-            rows.append((lam, mu, maj, conj, monotone, steps_ok))
-    assert _partition_facts(n) == (tuple(parts), counts, tuple(rows))
+                if steps_ok and all(counts[a] < counts[b] for a, b in zip(chain, chain[1:])):
+                    rising |= 1 << i
+            if majorizes(conjugate(mu), conjugate(lam)):
+                conj |= 1 << i
+            if counts[lam] <= counts[mu]:
+                monotone |= 1 << i
+        columns.append((maj, conj, monotone, rising))
+    assert _partition_facts(n) == (tuple(parts), counts, tuple(columns))
 
 
 def _negated_count(p, lam):
@@ -255,6 +259,32 @@ def test_partition_failures_say_why(monkeypatch, name, fake, failures):
         _partition_facts.cache_clear()
     assert rep.passed is False
     assert rep.failures == failures
+
+
+def test_partition_failure_walk_names_one_flipped_pair(monkeypatch):
+    # one wrong dominates answer in the middle of n = 5 fails exactly its own pair
+    real = suites.dominates
+    flipped = (abelian_order_sequence(2, (3, 2)), abelian_order_sequence(2, (3, 1, 1)))
+    monkeypatch.setattr(suites, "dominates", lambda a, b: real(a, b) != ((a, b) == flipped))
+    rep = suite_partition(5, 2)
+    assert rep.cases == 49
+    assert rep.failures == ["(3, 2) vs (3, 1, 1): domination False, majorization True, conjugate True"]
+
+
+def test_partition_failure_walk_lists_pairs_by_lam_first(monkeypatch):
+    monkeypatch.setattr(suites, "dominates", lambda a, b: False)
+    rep = suite_partition(3, 2)
+    assert rep.failures == [
+        f"{lam} vs {mu}: domination False, majorization True, conjugate True"
+        for lam, mu in [
+            ((3,), (3,)),
+            ((3,), (2, 1)),
+            ((3,), (1, 1, 1)),
+            ((2, 1), (2, 1)),
+            ((2, 1), (1, 1, 1)),
+            ((1, 1, 1), (1, 1, 1)),
+        ]
+    ]
 
 
 def test_partition_suite_makes_one_box_move_per_pair(monkeypatch):
