@@ -22,7 +22,6 @@ from .errors import (
     SizeLimitError,
     UnsupportedOrderError,
 )
-from .expressions import parse_group
 from .fields import FiniteField, affine_frobenius_group, make_field, psl_3_4
 from .graphs import (
     LabeledGraph,

@@ -12,9 +12,10 @@ from .errors import (
     SizeLimitError,
     UnsupportedOrderError,
 )
-from .expressions import parse_group
+# .expressions loads inside _cmd_os, _cmd_compare and _cmd_graph: no other command parses a group
 from .graphs import directed_power_graph, gk_graph, power_graph, render_dot
 from .groups import MAX_GROUP_SIZE
+from .numth import is_prime
 from .partitions import (
     abelian_order_sequence,
     box_move_chain,
@@ -62,6 +63,7 @@ def _emit_json(payload) -> None:
 
 
 def _cmd_os(args) -> int:
+    from .expressions import parse_group
     g = parse_group(args.expr, args.max_size)
     s = order_sequence(g)
     nilpotent = nilpotent_from_sequence(s)
@@ -87,6 +89,7 @@ def _cmd_os(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .expressions import parse_group
     sa = order_sequence(parse_group(args.a, args.max_size))
     sb = order_sequence(parse_group(args.b, args.max_size))
     a_over = dominates(sa, sb)
@@ -195,6 +198,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .expressions import parse_group
     g = parse_group(args.expr, args.max_size)
     builders = {"power": power_graph, "dpower": directed_power_graph, "gk": gk_graph}
     graph = builders[args.kind](g)
@@ -232,6 +236,8 @@ def _cmd_partition(args) -> int:
             n = int(args.parts)
         except ValueError:
             raise ParseError(f"cannot read {args.parts!r} as an integer or partition") from None
+        if not is_prime(args.p):
+            raise PreconditionError(f"{args.p} is not prime")
         rows = partitions_of(n)
         if args.json:
             _emit_json({"partitions": [list(row) for row in rows]})
@@ -242,6 +248,8 @@ def _cmd_partition(args) -> int:
     parts = partition(_parse_parts(args.parts))
     if args.chain is not None:
         target = partition(_parse_parts(args.chain))
+        if not is_prime(args.p):
+            raise PreconditionError(f"{args.p} is not prime")
         chain = box_move_chain(parts, target)
         if args.json:
             _emit_json({"chain": [list(step) for step in chain]})

@@ -9,25 +9,20 @@ refinement with individualization on what is left.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import PreconditionError, SizeLimitError
 from .numth import prime_divisors
+from .records import FrozenRecord
 
 POWER_GRAPH_LIMIT = 2048
 CANONICAL_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(FrozenRecord):
     """Vertices 0..n-1 with string labels; edges normalized when undirected."""
 
-    n: int
-    labels: tuple[str, ...]
-    edges: frozenset
-    directed: bool = False
-
-    def __post_init__(self):
+    def __init__(self, n: int, labels: tuple[str, ...], edges: frozenset, directed: bool = False):
+        super().__init__(n, labels, edges, directed)
         if len(self.labels) != self.n:
             raise PreconditionError("need one label per vertex")
         for a, b in self.edges:

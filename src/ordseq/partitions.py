@@ -8,7 +8,6 @@ cyclic factors of order p**a_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge, index, lt
 
@@ -20,6 +19,7 @@ from .errors import (
     SizeMismatch,
 )
 from .numth import is_prime
+from .records import FrozenRecord
 from .sequences import OrderSequence
 
 MAX_PARTITION_TOTAL = 60
@@ -110,8 +110,7 @@ def abelian_order_sequence(p: int, a) -> OrderSequence:
     return OrderSequence([(1, 1), *((p**j, c) for j, c in enumerate(_element_counts(p, a), start=1))])
 
 
-@dataclass(frozen=True)
-class CyclicCounts:
+class CyclicCounts(FrozenRecord):
     """Cyclic subgroup statistics of an abelian p-group.
 
     element_counts[j-1] and subgroup_counts[j-1] count the elements and
@@ -120,10 +119,8 @@ class CyclicCounts:
     defining partition, which counts something different in general.
     """
 
-    element_counts: tuple[int, ...]
-    subgroup_counts: tuple[int, ...]
-    total: int
-    part_product: int
+    def __init__(self, element_counts: tuple, subgroup_counts: tuple, total: int, part_product: int):
+        super().__init__(element_counts, subgroup_counts, total, part_product)
 
 
 def cyclic_subgroup_counts(p: int, a) -> CyclicCounts:

@@ -17,24 +17,22 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
 from operator import and_, or_
 
 from .errors import PreconditionError
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(FrozenRecord):
     """Collapsed partial order; names label classes, members list items.
 
     up[a] has bit b set when class a lies below or at class b.
     """
 
-    names: tuple[str, ...]
-    members: tuple[tuple[str, ...], ...]
-    up: tuple[int, ...]
+    def __init__(self, names: tuple[str, ...], members: tuple[tuple[str, ...], ...], up: tuple[int, ...]):
+        super().__init__(names, members, up)
 
 
 def _selector(mask: int) -> bytes:

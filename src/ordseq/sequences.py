@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 
 from .errors import LengthMismatch, ParseError, PreconditionError
 from .numth import euler_phi, factorize, is_power_of, prime_divisors
+from .records import FrozenRecord
 
 
 class OrderSequence:
@@ -248,18 +248,15 @@ def comparable(a: OrderSequence, b: OrderSequence) -> bool:
     return dominates(a, b) or dominates(b, a)
 
 
-@dataclass(frozen=True)
-class HallCertificate:
+class HallCertificate(FrozenRecord):
     """Witness that no order-dividing matching exists.
 
     The orders in a_orders need `need` slots, but the b-orders they can
     map onto (every divisor that occurs) only supply `have` of them.
     """
 
-    a_orders: tuple[int, ...]
-    b_orders: tuple[int, ...]
-    need: int
-    have: int
+    def __init__(self, a_orders: tuple[int, ...], b_orders: tuple[int, ...], need: int, have: int):
+        super().__init__(a_orders, b_orders, need, have)
 
 
 def strong_domination(a: OrderSequence, b: OrderSequence):

@@ -12,7 +12,6 @@ the failures of a column that disagrees.
 
 import math
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import neg
@@ -41,6 +40,7 @@ from .partitions import (
     partitions_of,
 )
 from .posets import build_poset, coordinatewise_up, extremes
+from .records import Record
 from .sequences import (
     comparable,
     cyclic_order_sequence,
@@ -55,15 +55,13 @@ from .sequences import (
 )
 
 
-@dataclass
-class SuiteReport:
-    """Outcome of one verification suite run."""
+class SuiteReport(Record):
+    """Outcome of one verification suite run; failures and notes are lists of str, fresh per report."""
 
-    name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+    def __init__(self, name: str, cases: int = 0, failures=None, notes=None, seconds: float = 0.0):
+        failures = [] if failures is None else failures
+        notes = [] if notes is None else notes
+        super().__init__(name, cases, failures, notes, seconds)
 
     @property
     def passed(self) -> bool:

@@ -336,6 +336,22 @@ def test_partition_chain_needs_a_partition(capsys):
     assert out.splitlines() == ["5", "4,1", "3,2"]
 
 
+@pytest.mark.parametrize("argv", ["partition 2,1 --p 4", "partition 3 --p 4", "partition 3, --p 4 --chain 2,1"])
+def test_partition_refuses_a_p_that_is_not_prime_on_every_path(capsys, argv):
+    # listing and chains never use p, but a bad --p is still an error, not ignored
+    assert run_cli(capsys, *argv.split()) == (4, "", "error: 4 is not prime\n")
+
+
+@pytest.mark.parametrize(
+    "argv", ["partition x --p 4", "partition 3,x --p 4", "partition 3, --chain x --p 4", "partition 5 --chain 3,2 --p 4"]
+)
+def test_partition_reads_its_arguments_before_it_checks_p(capsys, argv):
+    # a parse or usage error wins over a bad --p, as it did before --p was checked on every path
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert "prime" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -343,8 +359,11 @@ def test_partition_chain_needs_a_partition(capsys):
         "partition -1",
         "partition 0,1",
         "partition 3,2 --p 4",
+        "partition 3 --p 4",
+        "partition 3, --p 4 --chain 2,1",
         "partition 3,2 --chain 4",
         "partition 5 --chain 3,2",
+        "partition x --p 4",
         "poset 17",
         "poset -3",
         "os C0",
