@@ -224,38 +224,33 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 
 
 def _cmd_partition(args) -> int:
-    if "," not in args.parts:
+    # every argument is read before p is checked, so a parse or usage error wins
+    parts = target = None
+    if "," in args.parts:
+        parts = partition(_parse_parts(args.parts))
         if args.chain is not None:
-            print(
-                "error: --chain needs a partition, not a total"
-                " (write a one-part partition with a trailing comma, like 5,)",
-                file=sys.stderr,
-            )
-            return 2
+            target = partition(_parse_parts(args.chain))
+    elif args.chain is not None:
+        print(
+            "error: --chain needs a partition, not a total"
+            " (write a one-part partition with a trailing comma, like 5,)",
+            file=sys.stderr,
+        )
+        return 2
+    else:
         try:
-            n = int(args.parts)
+            total = int(args.parts)
         except ValueError:
             raise ParseError(f"cannot read {args.parts!r} as an integer or partition") from None
-        if not is_prime(args.p):
-            raise PreconditionError(f"{args.p} is not prime")
-        rows = partitions_of(n)
+    if not is_prime(args.p):
+        raise PreconditionError(f"{args.p} is not prime")
+    if parts is None or target is not None:
+        key, rows = ("partitions", partitions_of(total)) if parts is None else ("chain", box_move_chain(parts, target))
         if args.json:
-            _emit_json({"partitions": [list(row) for row in rows]})
+            _emit_json({key: [list(row) for row in rows]})
         else:
             for row in rows:
                 print(",".join(map(str, row)))
-        return 0
-    parts = partition(_parse_parts(args.parts))
-    if args.chain is not None:
-        target = partition(_parse_parts(args.chain))
-        if not is_prime(args.p):
-            raise PreconditionError(f"{args.p} is not prime")
-        chain = box_move_chain(parts, target)
-        if args.json:
-            _emit_json({"chain": [list(step) for step in chain]})
-        else:
-            for step in chain:
-                print(",".join(map(str, step)))
         return 0
     counts = cyclic_subgroup_counts(args.p, parts)
     seq = abelian_order_sequence(args.p, parts)

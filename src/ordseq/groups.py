@@ -8,12 +8,15 @@ isomorphism testing) is generic and works uniformly across backings.
 A cyclic group is the AbelianGroup of one modulus; dihedral, dicyclic,
 Heisenberg and (in fields) affine groups are CyclicExtensionGroups.
 
-Every construction checks its axioms when it is built.  A group with a
-Cayley table, so every TableGroup and every group of at most TABLE_LIMIT
-elements, is checked exactly on it (associativity by Light's test) and
-then multiplies by table lookup and reads its inverses off the table; a
-larger group gets seeded spot checks and takes its inverses from the
-power walk of element_orders.
+Every backing is a group either by an exact check of its Cayley table or
+by construction.  A group with a table, so every TableGroup and every
+group of at most TABLE_LIMIT elements, is checked on it (associativity by
+Light's test) and then multiplies by table lookup and reads its inverses
+off the table.  A larger group is a group by construction: a direct sum
+of cyclic groups, a direct product of groups, a closure of permutations
+under composition, or a cyclic extension whose action passed its exact
+check (Hoelder's conditions).  It takes its inverses from the power walk
+of element_orders.
 
 The public constructors are memoized (lru_cache), so each distinct group
 is built and checked once per process and the same call returns the
@@ -24,10 +27,9 @@ after they are built, so sharing them is safe.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 
 from .errors import (
@@ -43,8 +45,6 @@ from .numth import is_power_of, is_prime, prime_divisors
 MAX_GROUP_SIZE = 25000
 ISO_SIZE_LIMIT = 2500
 TABLE_LIMIT = 64
-_SPOT_SAMPLES = 1000
-_EXHAUSTIVE_PAIRS = 256
 
 
 def _right_generators(candidates, mul) -> tuple[int, ...]:
@@ -156,15 +156,14 @@ class FiniteGroup:
         index, 0 is a two-sided identity, the right inverse of every g
         (where its row has the 0) is a left inverse too, and Light's test
         proves associativity.  Then `mul` and `inv` read the table.  A
-        group without one is spot-checked: the identity on every element,
-        associativity on a seeded sample of triples, and the inverses of
-        the power walk on every element up to 4096 and on a seeded sample
-        beyond.
+        group without one is a group by construction (see the module
+        docstring); it only walks its powers, which binds `inv` and refuses
+        a backing whose powers never reach the identity.
         """
         n = self.size
         rows = self.table
         if rows is None:
-            self._spot_check()
+            self.element_orders()
             return
         invs = []
         for g, row in enumerate(rows):
@@ -194,25 +193,6 @@ class FiniteGroup:
         self.table = rows
         self.mul = mul
         self.inv = tuple(invs).__getitem__
-
-    def _spot_check(self) -> None:
-        n = self.size
-        mul = self.mul
-        for g in range(n):
-            if mul(0, g) != g or mul(g, 0) != g:
-                raise PreconditionError(f"index 0 is not an identity at {g}")
-        draw = random.Random(n + 1).randrange
-        for _ in range(_SPOT_SAMPLES):
-            a, b, c = draw(n), draw(n), draw(n)
-            if mul(mul(a, b), c) != mul(a, mul(b, c)):
-                raise PreconditionError(f"associativity fails at ({a}, {b}, {c})")
-        self.element_orders()
-        draw = random.Random(n).randrange
-        sample = range(n) if n <= 4096 else [draw(n) for _ in range(_SPOT_SAMPLES)]
-        for g in sample:
-            h = self.inv(g)
-            if mul(g, h) != 0 or mul(h, g) != 0:
-                raise PreconditionError(f"{h} fails as the inverse of {g}")
 
     def _elements(self, elems) -> set[int]:
         """The indices as a set, each checked to be an element."""
@@ -461,31 +441,16 @@ class CyclicExtensionGroup(FiniteGroup):
         for _ in range(k - 1):
             perms.append(tuple(gen_perm[x] for x in perms[-1]))
         mul = target.mul
-        rows = target.table
-        if n <= _EXHAUSTIVE_PAIRS:
-            # exact for gen_perm, and every power of an automorphism is one
-            powers = [(1, gen_perm)]
-            if rows is None:
-                pairs = [(a, b) for a in range(n) for b in range(n)]
-            else:
-                # row a of gen_perm(a*b) against gen_perm(a)*gen_perm(b) over all b;
-                # the loop below scans the first row that differs for its first b
-                image = gen_perm.__getitem__
-                bad = (
-                    a
-                    for a, row in enumerate(rows)
-                    if tuple(map(image, row)) != tuple(map(rows[image(a)].__getitem__, gen_perm))
-                )
-                pairs = [(a, b) for a in islice(bad, 1) for b in range(n)]
-        else:
-            # a list, not an iterator: every power but the identity is checked on the same pairs
-            draw = random.Random(0).randrange
-            pairs = [(draw(n), draw(n)) for _ in range(_SPOT_SAMPLES)]
-            powers = list(enumerate(perms))[1:]
-        for h, perm in powers:
-            for a, b in pairs:
-                if perm[mul(a, b)] != mul(perm[a], perm[b]):
-                    raise ActionNotAutomorphism(f"acting element {h} breaks the product at ({a}, {b})")
+        # a bijection that respects right multiplication by each generator
+        # respects every product; on a failure the first bad pair in
+        # row-major order is reported, found at or before the row of some
+        # generator, as gen_perm would be a homomorphism if every one held
+        gens = target.generating_sequence()
+        if any(gen_perm[mul(x, g)] != mul(gen_perm[x], gen_perm[g]) for g in gens for x in range(n)):
+            a, b = next(
+                (a, b) for a in range(n) for b in range(n) if gen_perm[mul(a, b)] != mul(gen_perm[a], gen_perm[b])
+            )
+            raise ActionNotAutomorphism(f"acting element 1 breaks the product at ({a}, {b})")
         if gen_perm[z] != z:
             raise ActionNotHomomorphism(f"the generator's automorphism moves g**k = {z}")
         conj_z = perms[0] if z == 0 else tuple(target.conjugate(z, y) for y in range(n))

@@ -1,6 +1,6 @@
 """`import ordseq, ordseq.cli` loads neither `dataclasses` (nor `inspect`,
-which it pulls in) nor the group-expression parser; the commands that parse
-a group load the parser on first use.
+which it pulls in), `random`, nor the group-expression parser; the commands
+that parse a group load the parser on first use.
 
 The probe runs in a fresh interpreter, since this test process has long
 since imported everything.  `-S` skips site-packages start-up hooks, which
@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = """
 import contextlib, io, sys
 import ordseq, ordseq.cli
-print(sorted({"dataclasses", "inspect", "ordseq.expressions"} & set(sys.modules)))
+print(sorted({"dataclasses", "inspect", "random", "ordseq.expressions"} & set(sys.modules)))
 with contextlib.redirect_stdout(io.StringIO()) as out:
     codes = [ordseq.cli._main(["os", "C2xC3"]), ordseq.cli._main(["compare", "A4", "D12"])]
 print(codes)

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import pkgutil
+import random
 import re
 from collections import Counter
 from functools import partial
@@ -142,13 +143,20 @@ def _row_search_inverse(g, a):
     ids=["C65", "C5xC13", "C3xC3^3", "D130", "Dic68", "Heis5", "S5", "Aff(2,6,7)"],
 )
 def test_inverses_from_the_power_walk(build):
-    # past the table limit every backing takes its inverses from element_orders
+    # past the table limit every backing is a group by construction and takes
+    # its inverses from element_orders; the group axioms are the oracle here
     g = build()
-    assert g.size > TABLE_LIMIT and g.table is None
-    for a in range(g.size):
+    n, mul = g.size, g.mul
+    assert n > TABLE_LIMIT and g.table is None
+    for a in range(n):
+        assert mul(0, a) == a == mul(a, 0)
         h = g.inv(a)
-        assert g.mul(a, h) == 0 == g.mul(h, a)
+        assert mul(a, h) == 0 == mul(h, a)
         assert h == _row_search_inverse(g, a)
+    draw = random.Random(n).randrange
+    for _ in range(1000):
+        a, b, c = draw(n), draw(n), draw(n)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c)), (a, b, c)
 
 
 def test_catalog_inverses_match_row_search():
@@ -283,6 +291,33 @@ def test_automorphism_check_reports_the_first_failing_pair(build):
         with pytest.raises(ActionNotAutomorphism, match=re.escape(f"acting element 1 breaks the product at {first}")):
             CyclicExtensionGroup(target, 2, perm)
     assert bad > 0
+
+
+def _inversion_with_exchanges(n, exchanges):
+    perm = list(power_map(n, -1))
+    for x, y in exchanges:
+        perm[x % n] = y % n
+    return perm
+
+
+@pytest.mark.parametrize(
+    "target, perm, pair",
+    [
+        # inversion of C12500 with the images of 5110, 1610, -5110 and -1610
+        # exchanged: past the table limit, and the extension would not be a group
+        (
+            lambda: cyclic(12500),
+            _inversion_with_exchanges(12500, [(5110, -1610), (-1610, 5110), (1610, -5110), (-5110, 1610)]),
+            (1, 1609),
+        ),
+        # respects adding the first generator 1 of C2^3 but not adding 2 and 4
+        (lambda: abelian([2] * 3), (0, 1, 2, 3, 4, 5, 7, 6), (2, 4)),
+    ],
+    ids=["C12500", "C2^3"],
+)
+def test_automorphism_check_is_exact_on_every_generator(target, perm, pair):
+    with pytest.raises(ActionNotAutomorphism, match=re.escape(f"acting element 1 breaks the product at {pair}")):
+        CyclicExtensionGroup(target(), 2, perm)
 
 
 def test_action_validation():
@@ -613,7 +648,7 @@ def test_table_limit_boundary():
     assert all(at.mul(a, b) == (a + b) % TABLE_LIMIT for a in range(TABLE_LIMIT) for b in range(TABLE_LIMIT))
     assert order_sequence(at) == cyclic_order_sequence(TABLE_LIMIT)
     assert order_sequence(past) == cyclic_order_sequence(TABLE_LIMIT + 1)
-    # a product past the limit is spot-checked, one at the limit tabulated
+    # a product past the limit is a group by construction, one at the limit tabulated
     assert direct_product(cyclic(2), abelian([2] * 5)).table is not None
     wide = direct_product(cyclic(3), abelian([3] * 3))
     assert wide.table is None
@@ -630,8 +665,8 @@ def _verify_affine_groups():
 
 
 def test_every_backing_is_a_table_or_structural():
-    # _finalize spot-checks any group without a table, so a backing that
-    # built none at TABLE_LIMIT or below would lose its exact checks unseen
+    # _finalize checks only tables, so a backing that built none at
+    # TABLE_LIMIT or below would lose its exact checks unseen
     for module in pkgutil.iter_modules(ordseq.__path__):
         importlib.import_module(f"ordseq.{module.name}")
     backings, todo = set(), list(FiniteGroup.__subclasses__())
@@ -686,6 +721,6 @@ def test_structural_backings_build_without_mul(monkeypatch, fresh_builds):
     for g in _verify_affine_groups():
         assert g.table is not None, g.name
     assert calls == []
-    # past the limit the class's mul still serves the spot checks
+    # past the limit the class's mul still serves the power walk
     wide = direct_product(cyclic(3), abelian([3] * 3))
     assert wide.table is None and calls
