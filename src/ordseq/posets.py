@@ -6,9 +6,12 @@ collapsed into one class.  A poset holds the relation as one int bitmask
 per class, its up-set (`Poset.up`), so a step over a whole row is one
 big-int operation.  Rows of the callable's answers become masks through
 `itertools.compress`, and the checks fold masks with `functools.reduce`,
-without a Python step per set bit.  The Hasse covers are peeled off each
-up-set along a linear extension, one step per cover, and must close back
-to the relation, checked cover by cover in one backward pass.
+without a Python step per set bit: one sweep ORs the strict up-sets in
+each item's row, which checks transitivity and, when no items collapse,
+antisymmetry at once; a second sweep runs only over collapsed rows.  The
+Hasse covers are peeled off each up-set along a linear extension, one
+step per cover, and must close back to the relation, checked cover by
+cover in one backward pass.
 `coordinatewise_up` builds such up-set masks for vectors under the
 coordinatewise order directly, from one sort per coordinate.
 """
@@ -66,6 +69,12 @@ def coordinatewise_up(vectors) -> list[int]:
     return up
 
 
+def _strictly_above(rows, up) -> list[int]:
+    """Per row, the OR of the strict up-sets of the items it holds: one mask sweep."""
+    strict = [mask & ~(1 << j) for j, mask in enumerate(up)]
+    return [reduce(or_, compress(strict, row)) for row in rows]
+
+
 def build_poset(items, leq) -> Poset:
     """Build a poset from (name, value) pairs under the given relation.
 
@@ -83,11 +92,11 @@ def build_poset(items, leq) -> Poset:
         if not row[i]:
             raise PreconditionError(f"relation is not reflexive at {names[i]}")
     up = [sum(compress(bit, row)) for row in rows]
-    # an up-set holds the up-set of everything in it exactly when the
-    # relation is transitive there
-    for row, mask in zip(rows, up):
-        if reduce(or_, compress(up, row)) != mask:
-            raise PreconditionError("relation is not transitive")
+    above = _strictly_above(rows, up)
+    # every j in a row lies in the row's up-set, so that up-set holds each
+    # up[j] exactly when it holds what lies strictly above the row's items
+    if any(x & ~mask for x, mask in zip(above, up)):
+        raise PreconditionError("relation is not transitive")
     # now items comparable both ways are those with equal up-sets, so the
     # classes are the distinct up-sets, listed by their lowest item
     classes: dict[int, list[str]] = {}
@@ -100,11 +109,10 @@ def build_poset(items, leq) -> Poset:
         keep = [lowest.setdefault(mask, i) == i for i, mask in enumerate(up)]
         rows = [list(compress(row, keep)) for row in compress(rows, keep)]
         up = [sum(compress(bit, row)) for row in rows]
+        above = _strictly_above(rows, up)
     # no class strictly above a class may also lie strictly below it
-    strict = [mask & ~b for mask, b in zip(up, bit)]
-    for a, row in enumerate(rows):
-        if reduce(or_, compress(strict, row)) >> a & 1:
-            raise AssertionError("collapsing must leave an antisymmetric relation")
+    if any(x >> a & 1 for a, x in enumerate(above)):
+        raise AssertionError("collapsing must leave an antisymmetric relation")
     return Poset(class_names, members, tuple(up))
 
 

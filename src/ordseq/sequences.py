@@ -16,10 +16,11 @@ powers, the products of those powers dividing n number at most
 GRID_LIMIT, and every order is one of them, those products are the
 sequence's threshold grid.  Its key packs F(g), the number of elements
 of order <= g, at each grid point g into one int, one field per point,
-with a spare top bit per field as a guard.  Two keys on one grid are
-compared in one subtraction (Lamport, "Multiple byte processing with
-full-word instructions", CACM 18(8), 1975).  A sequence with no grid is
-compared by merging the two lists of orders.
+with a spare top bit per field as a guard.  Grids are cached per (base,
+total), so two keys hold the same grid object exactly when they share a
+base and a total; such keys are compared in one subtraction (Lamport,
+"Multiple byte processing with full-word instructions", CACM 18(8),
+1975).  Any other pair is compared by merging the two lists of orders.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class OrderSequence:
         self.orders = tuple(d for d, _ in self.pairs)
         self.total = sum(merged.values())
         self._psi = sum(d * m for d, m in merged.items())
-        self._key = None  # (base, key, guard) once built; () when there is no grid
+        self._key = None  # (base, key, guard, grid) once built; () when there is no grid
 
     def multiplicity(self, order: int) -> int:
         i = bisect_left(self.orders, order)
@@ -167,12 +168,14 @@ def _grid(base: tuple[int, ...], total: int):
 
 
 def _threshold_key(seq: OrderSequence):
-    """(base, key, guard) for the sequence's threshold grid, or () if it has none.
+    """(base, key, guard, grid) for the sequence's threshold grid, or () if it has none.
 
     key holds F(g), the number of elements of order <= g, in grid point
     g's field.  Each multiplicity goes into its order's field; times
     ones, each field then also holds the sum of every field below it,
-    with no carry since those sums are at most the total.
+    with no carry since those sums are at most the total.  guard is the
+    grid's; grid is the tuple _grid returned, kept so that dominates can
+    match grids by identity.
     """
     base = []
     for d in seq.orders:
@@ -193,28 +196,34 @@ def _threshold_key(seq: OrderSequence):
         if s is None:
             return ()
         steps += m << s
-    return base, steps * ones & mask, guard
+    return base, steps * ones & mask, guard, grid
 
 
 def dominates(a: OrderSequence, b: OrderSequence) -> bool:
     """Whether a has at most as many elements of order <= t as b, for all t.
 
     Then a's sorted orders are elementwise at least b's, so psi(a) >=
-    psi(b): a smaller order sum is an exact reject in O(1).  Past it, two
-    sequences with threshold keys on one grid (equal totals and bases)
-    are compared at every grid point at once: (key_b | guard) - key_a
-    takes F_a(g) from guard + F_b(g) in each field, no borrow crosses a
-    field since F_a(g) <= total < guard bit, and a field keeps its guard
-    bit exactly when F_a(g) <= F_b(g).  Both counts change only at grid
+    psi(b): a smaller order sum is an exact reject in O(1), checked
+    first, with the lengths checked inside it, so LengthMismatch still
+    comes before every verdict.  Past it, two sequences whose threshold
+    keys hold the same grid object (grids are matched by identity, never
+    by value: the grids of 8 and 27 have the same layout) have one base
+    and one total, and are compared at every grid point at once in
+    key_b - key_a.  Below the lowest field where F_a(g) > F_b(g) no
+    borrow arises, and that field then reads 2**w + F_b(g) - F_a(g) for
+    its width w, which has the guard bit set since F_a(g) <= total <
+    guard bit; where F_a(g) <= F_b(g) everywhere, every field reads
+    F_b(g) - F_a(g) < guard bit.  So a dominates b exactly when the
+    difference misses every guard bit.  Both counts change only at grid
     points, so that is every threshold.  Keys are built on first use.
-    Otherwise the orders are merged, and only thresholds at a's orders
-    need checking: between two of them a's count stays fixed while b's
-    can only rise.  Once b's orders are used up, b's count is the total,
-    which a's never exceeds.
+    Every other pair has its lengths checked and its orders merged, and
+    only thresholds at a's orders need checking: between two of them
+    a's count stays fixed while b's can only rise.  Once b's orders are
+    used up, b's count is the total, which a's never exceeds.
     """
-    if a.total != b.total:
-        raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
     if a._psi < b._psi:
+        if a.total != b.total:
+            raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
         return False
     ka = a._key
     if ka is None:
@@ -222,9 +231,10 @@ def dominates(a: OrderSequence, b: OrderSequence) -> bool:
     kb = b._key
     if kb is None:
         kb = b._key = _threshold_key(b)
-    if ka and kb and ka[0] == kb[0]:
-        guard = ka[2]
-        return ((kb[1] | guard) - ka[1]) & guard == guard
+    if ka and kb and ka[3] is kb[3]:
+        return not (kb[1] - ka[1]) & ka[2]
+    if a.total != b.total:
+        raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
     pb = b.pairs
     nb = len(pb)
     ca = cb = ib = 0

@@ -129,9 +129,10 @@ def minimal_nonnilpotent_group(n: int) -> FiniteGroup:
 def suite_unique_max(n: int) -> SuiteReport:
     """The cyclic sequence strongly dominates every other, strictly, with strict psi and rho."""
     rep = SuiteReport(f"unique-max[{n}]")
+    groups = catalog(n)  # an unknown order is refused before the cyclic sequence is built
     top = cyclic_order_sequence(n)
     top_names = []
-    for name, g in catalog(n):
+    for name, g in groups:
         rep.cases += 1
         s = order_sequence(g)
         ok, _ = strong_domination(top, s)

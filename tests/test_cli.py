@@ -371,6 +371,7 @@ def test_partition_reads_its_arguments_before_it_checks_p(capsys, argv):
         "compare C4 C2",
         "graph power C0",
         "verify --suite unique-max --order 17",
+        "verify --suite unique-max --order 0",
         "verify --suite order16 --order 3",
         "verify --suite gap-bounds --order 1",
     ],
@@ -381,6 +382,14 @@ def test_malformed_input_ends_in_one_error_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", ["0", "-4", "17"])
+def test_unique_max_on_an_order_without_a_catalog_exits_5(capsys, order):
+    # the catalog is read before the cyclic sequence, which refuses an order below 1 with exit 4
+    code, out, err = run_cli(capsys, "verify", "--suite", "unique-max", "--order", order)
+    assert (code, out) == (5, "")
+    assert err == f"error: no complete catalog for order {order}\n"
 
 
 def test_realize_on_a_semiprime_past_the_factor_cap_exits_3(capsys):

@@ -3,7 +3,7 @@ import json
 from operator import ge
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ordseq.catalog import catalog, supported_orders
 from ordseq.cli import _main
@@ -75,6 +75,60 @@ def test_build_poset_rejects_non_transitive_relation():
     items = [("a", 0), ("b", 1), ("c", 2)]
     with pytest.raises(PreconditionError, match="not transitive"):
         build_poset(items, lambda x, y: _NON_TRANSITIVE[x][y])
+
+
+def _closure(rel):
+    """Reflexive-transitive closure of a k x k table of bools (Warshall)."""
+    rel = [[x or i == j for j, x in enumerate(row)] for i, row in enumerate(rel)]
+    for m in range(len(rel)):
+        for row in rel:
+            if row[m]:
+                row[:] = map(bool.__or__, row, rel[m])
+    return rel
+
+
+@st.composite
+def _relations(draw, min_size=0):
+    """(names, relation) on up to 8 items; about a quarter of the pairs related."""
+    k = draw(st.integers(min_value=min_size, max_value=8))
+    names = draw(st.permutations("abcdefgh"))[:k]
+    rel = [[draw(st.integers(min_value=0, max_value=3)) == 0 for _ in range(k)] for _ in range(k)]
+    return names, rel
+
+
+def _reference_poset(names, rel):
+    """Classes, in order of their lowest item, and their up-masks, from pairwise lookups."""
+    k = len(rel)
+    lowest = [i for i in range(k) if not any(rel[i][j] and rel[j][i] for j in range(i))]
+    members = tuple(tuple(sorted(names[j] for j in range(k) if rel[i][j] and rel[j][i])) for i in lowest)
+    up = tuple(sum(1 << b for b, j in enumerate(lowest) if rel[i][j]) for i in lowest)
+    return tuple("=".join(m) for m in members), members, up
+
+
+@settings(max_examples=200)
+@given(_relations())
+def test_build_poset_matches_a_pairwise_reference_on_preorders(relation):
+    names, rel = relation
+    rel = _closure(rel)
+    calls = []
+
+    def leq(x, y):
+        calls.append((x, y))
+        return rel[x][y]
+
+    poset = build_poset(zip(names, range(len(rel))), leq)
+    assert (poset.names, poset.members, poset.up) == _reference_poset(names, rel)
+    assert len(calls) == len(rel) ** 2
+
+
+@settings(max_examples=200)
+@given(_relations(min_size=3))
+def test_build_poset_refuses_a_relation_that_is_not_transitive(relation):
+    names, rel = relation
+    rel = [[x or i == j for j, x in enumerate(row)] for i, row in enumerate(rel)]
+    assume(rel != _closure(rel))
+    with pytest.raises(PreconditionError, match="not transitive"):
+        build_poset(zip(names, range(len(rel))), lambda x, y: rel[x][y])
 
 
 @pytest.mark.parametrize(

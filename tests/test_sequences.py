@@ -31,6 +31,7 @@ from ordseq.sequences import (
     seq_product,
     strictly_dominates,
     strong_domination,
+    _grid,
     _threshold_key,
 )
 
@@ -573,6 +574,26 @@ def _divisor_multisets(draw):
 def test_packed_keys_match_the_threshold_reference(pair):
     a, b = pair
     assert _threshold_key(a)[0] == _threshold_key(b)[0] != ()
+    assert dominates(a, b) == _threshold_dominates(a, b)
+    assert dominates(b, a) == _threshold_dominates(b, a)
+
+
+def test_grids_of_one_layout_are_not_matched_by_their_guards():
+    # {1, 3, 9, 27} and {1, 2, 4, 8} get one-byte fields at four points: equal layouts and guard values
+    c27, c8 = cyclic_order_sequence(27), cyclic_order_sequence(8)
+    assert _grid((3,), 27)[1:] == _grid((2,), 8)[1:]
+    for x, y in ((c27, c8), (c8, c27)):
+        with pytest.raises(LengthMismatch):
+            dominates(x, y)
+
+
+@given(_divisor_multisets())
+def test_a_grid_rebuilt_between_two_keys_falls_back_to_the_merge(pair):
+    a, b = pair
+    assert dominates(a, a)  # builds a's key
+    _grid.cache_clear()
+    assert dominates(b, b)  # builds b's key on a fresh grid object of the same value
+    assert a._key[0] == b._key[0] and a._key[3] == b._key[3] and a._key[3] is not b._key[3]
     assert dominates(a, b) == _threshold_dominates(a, b)
     assert dominates(b, a) == _threshold_dominates(b, a)
 
