@@ -77,9 +77,13 @@ def test_build_poset_rejects_non_transitive_relation():
         build_poset(items, lambda x, y: _NON_TRANSITIVE[x][y])
 
 
+def _reflexive(rel):
+    return [[x or i == j for j, x in enumerate(row)] for i, row in enumerate(rel)]
+
+
 def _closure(rel):
     """Reflexive-transitive closure of a k x k table of bools (Warshall)."""
-    rel = [[x or i == j for j, x in enumerate(row)] for i, row in enumerate(rel)]
+    rel = _reflexive(rel)
     for m in range(len(rel)):
         for row in rel:
             if row[m]:
@@ -125,7 +129,7 @@ def test_build_poset_matches_a_pairwise_reference_on_preorders(relation):
 @given(_relations(min_size=3))
 def test_build_poset_refuses_a_relation_that_is_not_transitive(relation):
     names, rel = relation
-    rel = [[x or i == j for j, x in enumerate(row)] for i, row in enumerate(rel)]
+    rel = _reflexive(rel)
     assume(rel != _closure(rel))
     with pytest.raises(PreconditionError, match="not transitive"):
         build_poset(zip(names, range(len(rel))), lambda x, y: rel[x][y])
