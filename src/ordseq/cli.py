@@ -277,17 +277,16 @@ def _cmd_partition(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument(
-        "--max-size", type=int, default=MAX_GROUP_SIZE, help="largest group order the parser will build"
-    )
+    expr = argparse.ArgumentParser(add_help=False, parents=[common])
+    expr.add_argument("--max-size", type=int, default=MAX_GROUP_SIZE, help="largest group order the parser will build")
     parser = argparse.ArgumentParser(prog="ordseq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("os", parents=[common], help="order sequence and invariants of a group")
+    p = sub.add_parser("os", parents=[expr], help="order sequence and invariants of a group")
     p.add_argument("expr", help="group expression, e.g. 'C3 x Dic5'")
     p.set_defaults(func=_cmd_os)
 
-    p = sub.add_parser("compare", parents=[common], help="compare two order sequences")
+    p = sub.add_parser("compare", parents=[expr], help="compare two order sequences")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=_cmd_compare)
@@ -307,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", type=int)
     p.set_defaults(func=_cmd_realize)
 
-    p = sub.add_parser("graph", parents=[common], help="power, directed power or prime graph")
+    p = sub.add_parser("graph", parents=[expr], help="power, directed power or prime graph")
     p.add_argument("kind", choices=["power", "dpower", "gk"])
     p.add_argument("expr")
     p.set_defaults(func=_cmd_graph)

@@ -20,7 +20,8 @@ with a spare top bit per field as a guard.  Grids are cached per (base,
 total), so two keys hold the same grid object exactly when they share a
 base and a total; such keys are compared in one subtraction (Lamport,
 "Multiple byte processing with full-word instructions", CACM 18(8),
-1975).  Any other pair is compared by merging the two lists of orders.
+1975).  Every other pair is packed over the union of its orders and
+compared in the same subtraction; no pair is merged.
 """
 
 from __future__ import annotations
@@ -137,15 +138,7 @@ GRID_LIMIT = 4096  # most threshold grid points a key is built over
 
 @lru_cache(maxsize=32)
 def _grid(base: tuple[int, ...], total: int):
-    """(shift, ones, mask, guard) for the grid of base and total, or None if there is none.
-
-    The grid is every product of powers of the base that divides the
-    total.  Its points, ascending, own fields of total.bit_length() // 8
-    + 1 bytes, lowest first, so no count up to total reaches a field's
-    top bit.  shift maps each point to its field's lowest bit; ones has
-    that bit set in every field, mask every bit of every field, and
-    guard every field's top bit.
-    """
+    """The _layout of the grid (each product of powers of base dividing total), or None."""
     grid = [1]
     rest = total
     for i, b in enumerate(base):
@@ -160,22 +153,42 @@ def _grid(base: tuple[int, ...], total: int):
         grid = [g * q for g in grid for q in powers]
     if rest != 1:
         return None
-    grid.sort()
+    return _layout(sorted(grid), total)
+
+
+def _layout(points, total: int):
+    """(shift, ones, mask, guard) for counts up to total at the ascending points.
+
+    The points own fields of total.bit_length() // 8 + 1 bytes, lowest
+    first, so no count up to total reaches a field's top bit.  shift maps
+    each point to its field's lowest bit; ones has that bit set in every
+    field, mask every bit of every field, and guard every field's top
+    bit.
+    """
     width = total.bit_length() // 8 + 1
-    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(grid), "little")
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(points), "little")
     bits = 8 * width
-    return {g: bits * i for i, g in enumerate(grid)}, ones, (1 << bits * len(grid)) - 1, ones << (bits - 1)
+    return {g: bits * i for i, g in enumerate(points)}, ones, (1 << bits * len(points)) - 1, ones << (bits - 1)
+
+
+def _pack(pairs, shift, ones, mask) -> int:
+    """F(g), the number of elements of order <= g, in the field of each point g.
+
+    Each multiplicity goes into its order's field (a KeyError if the order
+    has none); times ones, each field then also holds the sum of every
+    field below it, with no carry since those sums are at most the total.
+    """
+    steps = 0
+    for d, m in pairs:
+        steps += m << shift[d]
+    return steps * ones & mask
 
 
 def _threshold_key(seq: OrderSequence):
     """(base, key, guard, grid) for the sequence's threshold grid, or () if it has none.
 
-    key holds F(g), the number of elements of order <= g, in grid point
-    g's field.  Each multiplicity goes into its order's field; times
-    ones, each field then also holds the sum of every field below it,
-    with no carry since those sums are at most the total.  guard is the
-    grid's; grid is the tuple _grid returned, kept so that dominates can
-    match grids by identity.
+    key is _pack over the grid; guard is the grid's; grid is the tuple
+    _grid returned, kept so that dominates can match grids by identity.
     """
     base = []
     for d in seq.orders:
@@ -190,13 +203,11 @@ def _threshold_key(seq: OrderSequence):
     if grid is None:
         return ()
     shift, ones, mask, guard = grid
-    steps = 0
-    for d, m in seq.pairs:
-        s = shift.get(d)
-        if s is None:
-            return ()
-        steps += m << s
-    return base, steps * ones & mask, guard, grid
+    try:
+        key = _pack(seq.pairs, shift, ones, mask)
+    except KeyError:  # an order off the grid
+        return ()
+    return base, key, guard, grid
 
 
 def dominates(a: OrderSequence, b: OrderSequence) -> bool:
@@ -205,21 +216,17 @@ def dominates(a: OrderSequence, b: OrderSequence) -> bool:
     Then a's sorted orders are elementwise at least b's, so psi(a) >=
     psi(b): a smaller order sum is an exact reject in O(1), checked
     first, with the lengths checked inside it, so LengthMismatch still
-    comes before every verdict.  Past it, two sequences whose threshold
-    keys hold the same grid object (grids are matched by identity, never
-    by value: the grids of 8 and 27 have the same layout) have one base
-    and one total, and are compared at every grid point at once in
-    key_b - key_a.  Below the lowest field where F_a(g) > F_b(g) no
-    borrow arises, and that field then reads 2**w + F_b(g) - F_a(g) for
-    its width w, which has the guard bit set since F_a(g) <= total <
-    guard bit; where F_a(g) <= F_b(g) everywhere, every field reads
+    comes before every verdict.  Past it, both counts are packed by _pack
+    on one layout holding every order of either, hence every threshold
+    where a count changes: the stored keys when both hold the same grid
+    object (matched by identity, never by value: the grids of 8 and 27
+    have the same layout), else, once the lengths match, a layout over
+    the union of their orders.  Below the lowest field where F_a(g) >
+    F_b(g), fb - fa borrows nothing, and that field reads 2**w + F_b(g) -
+    F_a(g) for its width w, with the guard bit set since F_a(g) <= total
+    < guard bit; where F_a(g) <= F_b(g) everywhere, every field reads
     F_b(g) - F_a(g) < guard bit.  So a dominates b exactly when the
-    difference misses every guard bit.  Both counts change only at grid
-    points, so that is every threshold.  Keys are built on first use.
-    Every other pair has its lengths checked and its orders merged, and
-    only thresholds at a's orders need checking: between two of them
-    a's count stays fixed while b's can only rise.  Once b's orders are
-    used up, b's count is the total, which a's never exceeds.
+    difference misses every guard bit.  Keys are built on first use.
     """
     if a._psi < b._psi:
         if a.total != b.total:
@@ -235,19 +242,8 @@ def dominates(a: OrderSequence, b: OrderSequence) -> bool:
         return not (kb[1] - ka[1]) & ka[2]
     if a.total != b.total:
         raise LengthMismatch(f"sequences have lengths {a.total} and {b.total}")
-    pb = b.pairs
-    nb = len(pb)
-    ca = cb = ib = 0
-    for d, m in a.pairs:
-        ca += m
-        while pb[ib][0] <= d:
-            cb += pb[ib][1]
-            ib += 1
-            if ib == nb:
-                return True
-        if ca > cb:
-            return False
-    return True
+    shift, ones, mask, guard = _layout(sorted({*a.orders, *b.orders}), a.total)
+    return not (_pack(b.pairs, shift, ones, mask) - _pack(a.pairs, shift, ones, mask)) & guard
 
 
 def strictly_dominates(a: OrderSequence, b: OrderSequence) -> bool:

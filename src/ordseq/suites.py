@@ -151,6 +151,7 @@ def suite_gap_bounds(n: int) -> SuiteReport:
     """Exact psi and rho gaps below the cyclic group, with the known equality cases."""
     if n <= 1:
         raise PreconditionError("gap bounds need an order greater than 1")
+    groups = catalog(n)  # an unknown order is refused before the cyclic sequence is built
     rep = SuiteReport(f"gap-bounds[{n}]")
     q = prime_divisors(n)[0]
     top = cyclic_order_sequence(n)
@@ -158,7 +159,7 @@ def suite_gap_bounds(n: int) -> SuiteReport:
     gap = n * euler_phi(n) * (q - 1) // q
     scale = q ** euler_phi(n)
     equality = []
-    for name, g in catalog(n):
+    for name, g in groups:
         s = order_sequence(g)
         if s == top:
             continue

@@ -286,6 +286,21 @@ def test_max_size_flag(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", ["compare C12 C6", "graph power C12"])
+def test_max_size_caps_every_parsed_group(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split(), "--max-size", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", ["verify --all", "poset 8", "realize 1:1,2:1 2", "partition 4"])
+def test_max_size_is_a_usage_error_where_no_group_is_parsed(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _main([*argv.split(), "--max-size", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-size 5" in capsys.readouterr().err
+
+
 def test_partition_listing(capsys):
     code, out, _ = run_cli(capsys, "partition", "4")
     assert code == 0
@@ -374,6 +389,7 @@ def test_partition_reads_its_arguments_before_it_checks_p(capsys, argv):
         "verify --suite unique-max --order 0",
         "verify --suite order16 --order 3",
         "verify --suite gap-bounds --order 1",
+        "verify --suite gap-bounds --order 17",
     ],
 )
 def test_malformed_input_ends_in_one_error_line(capsys, argv):
@@ -390,6 +406,16 @@ def test_unique_max_on_an_order_without_a_catalog_exits_5(capsys, order):
     code, out, err = run_cli(capsys, "verify", "--suite", "unique-max", "--order", order)
     assert (code, out) == (5, "")
     assert err == f"error: no complete catalog for order {order}\n"
+
+
+@pytest.mark.parametrize("order", ["17", "99999999999999999999"])
+def test_gap_bounds_on_an_order_without_a_catalog_exits_5(capsys, order):
+    # the catalog is read before the cyclic sequence, whose divisor scan runs up to the order
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "gap-bounds", "--order", order)
+    assert (code, out) == (5, "")
+    assert err == f"error: no complete catalog for order {order}\n"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_realize_on_a_semiprime_past_the_factor_cap_exits_3(capsys):

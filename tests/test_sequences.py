@@ -11,6 +11,7 @@ from hypothesis import assume, given, strategies as st
 from ordseq.catalog import catalog, supported_orders
 from ordseq.errors import LengthMismatch, ParseError, PreconditionError
 from ordseq.groups import abelian, alternating, cyclic, dicyclic, direct_product, symmetric
+from ordseq.numth import factorize
 from ordseq.partitions import abelian_order_sequence, partitions_of
 from ordseq.sequences import (
     GRID_LIMIT,
@@ -588,7 +589,7 @@ def test_grids_of_one_layout_are_not_matched_by_their_guards():
 
 
 @given(_divisor_multisets())
-def test_a_grid_rebuilt_between_two_keys_falls_back_to_the_merge(pair):
+def test_a_grid_rebuilt_between_two_keys_is_compared_on_the_union_of_orders(pair):
     a, b = pair
     assert dominates(a, a)  # builds a's key
     _grid.cache_clear()
@@ -604,8 +605,49 @@ def _check_pairs(seqs):
             assert dominates(a, b) == _threshold_dominates(a, b), (a, b)
 
 
+# fields are total.bit_length() // 8 + 1 bytes wide: the width steps between 127 and 128 and between 32767
+# and 32768, where a count would first reach a byte's top bit; at 255/256 and 65535/65536 counts fill, then
+# pass, whole bytes
+_EDGE_TOTALS = [127, 128, 255, 256, 32767, 32768, 65535, 65536]
+
+
+def _near_total_sequences(n):
+    """Sequences of total n over divisors of n holding every prime of n, most
+    of the mass at order 1 or at one large order, so counts sit near n."""
+    primes = [p for p, _ in factorize(n)]
+    divisors = sorted({1, *primes, n, n // primes[0], n // primes[-1]})
+    seqs = []
+    for k in (1, 2, n // 2, n - len(primes) - 1):
+        for h in divisors:
+            counts = Counter({1: k, **dict.fromkeys(primes, 1)})
+            counts[h] += n - sum(counts.values())
+            seqs.append(OrderSequence(+counts))
+    return seqs
+
+
+@pytest.mark.parametrize("n", _EDGE_TOTALS)
+def test_counts_near_a_field_width_edge_on_a_shared_grid(n):
+    seqs = _near_total_sequences(n)
+    grid = _threshold_key(seqs[0])[3]
+    assert all(_threshold_key(s)[3] is grid for s in seqs)
+    _check_pairs(seqs)
+
+
+@pytest.mark.parametrize("n", _EDGE_TOTALS)
+def test_counts_near_a_field_width_edge_on_the_union_of_orders(n):
+    seqs = _near_total_sequences(n)
+    for s in seqs:
+        s._key = ()  # withheld, so every pair is packed on the union of its orders
+    _check_pairs(seqs)
+    # keyless or on grids of their own, against keyed ones: an order off n's grid, all n at order 1, all at n
+    off = 2 if n % 2 else 3
+    others = [OrderSequence(c) for c in ({1: 1, off: 1, n: n - 2}, {1: n - 1, off: 1}, {1: n}, {n: n})]
+    _check_pairs(_near_total_sequences(n) + others)
+    assert dominates(others[3], others[2])  # the largest field difference, n
+
+
 def test_a_composite_minimal_order_keys_on_its_own_grid():
-    # {1, 6, 36} is a grid of its own; against the primes 2, 3 the bases differ and the orders are merged
+    # {1, 6, 36} is a grid of its own; against the primes 2, 3 the bases differ and the pair is packed on its orders
     six = OrderSequence({1: 1, 6: 35})
     assert _threshold_key(six)[0] == (6,)
     c36 = cyclic_order_sequence(36)
