@@ -5,6 +5,10 @@ Concrete backings supply `mul`, and one of at most TABLE_LIMIT elements
 hands in its Cayley table built from its structure; everything else
 (inverses, element orders, closures, quotients, Sylow subgroups,
 isomorphism testing) is generic and works uniformly across backings.
+Isomorphism is decided by one invariant cached per group (_iso_key: the
+abelian flag and how many elements have each order and number of square
+roots); only non-abelian groups with equal invariants reach the
+generator-image search, which returns the isomorphism it finds.
 A cyclic group is the AbelianGroup of one modulus; dihedral, dicyclic,
 Heisenberg and (in fields) affine groups are CyclicExtensionGroups.
 
@@ -98,6 +102,7 @@ class FiniteGroup:
         self.name = name
         self._orders: tuple[int, ...] | None = None
         self._gens: tuple[int, ...] | None = None
+        self._key: tuple | None = None
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -310,31 +315,47 @@ class FiniteGroup:
         """Whether every Sylow subgroup is normal, checked by conjugation."""
         return all(self.is_normal(self.sylow_subgroup(p)) for p in prime_divisors(self.size))
 
+    def _iso_key(self) -> tuple:
+        """Whether the group is abelian, and the sorted counts of (order of g,
+        number of x with x*x = g) over all g.
+
+        An isomorphism preserves both parts, so groups with different keys
+        are not isomorphic; the counts include those of the element orders.
+        """
+        if self._key is None:
+            elements = range(self.size)
+            roots = Counter(map(self.mul, elements, elements))
+            counts = Counter(zip(self.element_orders(), map(roots.__getitem__, elements)))
+            self._key = (self.is_abelian(), tuple(sorted(counts.items())))
+        return self._key
+
     def is_isomorphic(self, other: "FiniteGroup") -> bool:
-        """Decide isomorphism by element orders, then a generator-image search."""
+        """Decide isomorphism by _iso_key, then, for non-abelian groups, a generator-image search."""
         if self.size != other.size:
             return False
         if max(self.size, other.size) > ISO_SIZE_LIMIT:
             raise SizeLimitError(f"isomorphism testing is capped at {ISO_SIZE_LIMIT} elements")
-        if Counter(self.element_orders()) != Counter(other.element_orders()):
+        key = self._iso_key()
+        if key != other._iso_key():
             return False
-        mine, theirs = self.is_abelian(), other.is_abelian()
-        if mine != theirs:
-            return False
-        if mine:
-            # abelian groups are determined by their element orders
-            return True
-        return self._isomorphism_search(other)
+        # abelian groups are determined by their element orders
+        return key[0] or self._isomorphism_search(other) is not None
 
-    def _isomorphism_search(self, other: "FiniteGroup") -> bool:
+    def _isomorphism_search(self, other: "FiniteGroup") -> dict[int, int] | None:
+        """An isomorphism onto other as a map of indices, or None when there is none.
+
+        Each generator of generating_sequence is sent, depth first, to each
+        element of other with its order.
+        """
         gens = self.generating_sequence()
         my_orders, their_orders = self.element_orders(), other.element_orders()
         cands = [[h for h in range(other.size) if their_orders[h] == my_orders[g]] for g in gens]
 
         def extend(images: list[int]) -> dict[int, int] | None:
             # grow the partial map over the subgroup the chosen images define;
-            # every (element, generator) product is checked, so a full map is
-            # automatically a bijective homomorphism
+            # every (element, generator) product is checked, so once every
+            # generator has an image the map covers the group and is a
+            # bijective homomorphism
             pairs = list(zip(gens, images))
             mapping = {0: 0}
             used = {0}
@@ -356,13 +377,15 @@ class FiniteGroup:
                         stack.append(y)
             return mapping
 
-        def dfs(images: list[int]) -> bool:
+        def dfs(images: list[int]) -> dict[int, int] | None:
             mapping = extend(images)
-            if mapping is None:
-                return False
-            if len(images) == len(gens):
-                return len(mapping) == self.size
-            return any(dfs(images + [h]) for h in cands[len(images)])
+            if mapping is None or len(images) == len(gens):
+                return mapping
+            for h in cands[len(images)]:
+                found = dfs(images + [h])
+                if found is not None:
+                    return found
+            return None
 
         return dfs([])
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from operator import index
+from operator import index, mul
 
 from .errors import LengthMismatch, ParseError, PreconditionError
 from .numth import euler_phi, factorize, is_power_of, prime_divisors
@@ -62,9 +62,9 @@ class OrderSequence:
         if not merged:
             raise PreconditionError("an order sequence cannot be empty")
         self.pairs = tuple(sorted(merged.items()))
-        self.orders = tuple(d for d, _ in self.pairs)
-        self.total = sum(merged.values())
-        self._psi = sum(d * m for d, m in merged.items())
+        self.orders, mults = zip(*self.pairs)
+        self.total = sum(mults)
+        self._psi = sum(map(mul, self.orders, mults))
         self._key = None  # (base, key, guard, grid) once built; () when there is no grid
 
     def multiplicity(self, order: int) -> int:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ordseq.catalog import (
@@ -79,6 +81,23 @@ def test_catalog_is_complete(n):
     for i, (a, g) in enumerate(pairs):
         for b, h in pairs[i + 1 :]:
             assert not g.is_isomorphic(h), f"{a} and {b} are isomorphic"
+
+
+def _parent_rule(g, h) -> bool:
+    """Isomorphism by the element-order Counter, then the abelian flag, then the search."""
+    if g.size != h.size or Counter(g.element_orders()) != Counter(h.element_orders()):
+        return False
+    if g.is_abelian() != h.is_abelian():
+        return False
+    return g.is_abelian() or g._isomorphism_search(h) is not None
+
+
+def test_isomorphism_key_agrees_with_the_order_counter_rule():
+    for n in supported_orders():
+        pairs = catalog(n)
+        for a, g in pairs:
+            for b, h in pairs:
+                assert g.is_isomorphic(h) == _parent_rule(g, h) == (a == b), (a, b)
 
 
 def test_group_by_name():

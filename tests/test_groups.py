@@ -407,10 +407,48 @@ def test_isomorphism_checks():
     assert not dihedral(8).is_isomorphic(dicyclic(8))
 
 
+def _is_isomorphism(g, h, f) -> bool:
+    """Whether the index map f is a bijection from g onto h with f(xy) = f(x)f(y) on all pairs."""
+    elements = range(g.size)
+    return (
+        sorted(f) == list(elements)
+        and sorted(f.values()) == list(elements)
+        and all(f[g.mul(a, b)] == h.mul(f[a], f[b]) for a in elements for b in elements)
+    )
+
+
 def test_isomorphism_search_decides_order16_pairs():
-    # same element orders, both non-abelian: the generator-image search decides
-    assert direct_product(cyclic(2), dihedral(8)).is_isomorphic(group_by_name(16, "D8xC2"))
-    assert not group_by_name(16, "Q8xC2").is_isomorphic(group_by_name(16, "C4:C4"))
+    # two pairs of non-abelian groups of order 16 share their element orders;
+    # the key tells them apart, and the search, called directly, still decides
+    for a, b in [("Q8xC2", "C4:C4"), ("(C2xC2):C4", "D8*C4")]:
+        g, h = group_by_name(16, a), group_by_name(16, b)
+        assert Counter(g.element_orders()) == Counter(h.element_orders())
+        assert not g.is_abelian() and not h.is_abelian()
+        assert g._iso_key() != h._iso_key()
+    assert group_by_name(16, "Q8xC2")._isomorphism_search(group_by_name(16, "C4:C4")) is None
+    # equal keys, non-abelian: the search finds the isomorphism
+    g, h = direct_product(cyclic(2), dihedral(8)), group_by_name(16, "D8xC2")
+    assert g.is_isomorphic(h)
+    assert _is_isomorphism(g, h, g._isomorphism_search(h))
+
+
+def test_relabelled_catalog_groups_keep_their_key():
+    rng = random.Random(30)
+    for n in supported_orders():
+        if n > TABLE_LIMIT:
+            continue
+        for name, g in catalog(n):
+            label = [0] + rng.sample(range(1, n), n - 1)
+            table = [[0] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    table[label[a]][label[b]] = label[g.mul(a, b)]
+            h = TableGroup(table, f"relabelled {name}")
+            assert g._iso_key() == h._iso_key(), name
+            assert g.is_isomorphic(h) and h.is_isomorphic(g), name
+            if not g.is_abelian():
+                assert _is_isomorphism(g, h, g._isomorphism_search(h)), name
+                assert _is_isomorphism(h, g, h._isomorphism_search(g)), name
 
 
 def test_permutation_group():

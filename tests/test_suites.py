@@ -359,6 +359,14 @@ def test_nilpotent_minimality_builds_only_the_minimal_products(builds, fresh_bui
     assert built == builds
 
 
+def test_order16_suite_makes_no_isomorphism_search(monkeypatch):
+    calls = []
+    search = FiniteGroup._isomorphism_search
+    monkeypatch.setattr(FiniteGroup, "_isomorphism_search", lambda g, h: calls.append(g) or search(g, h))
+    assert suite_order16().passed
+    assert calls == []
+
+
 def test_fixed_suites_pass():
     assert suite_extension().passed
     assert suite_order16().passed
