@@ -43,6 +43,8 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread():
     # a gain of a higher-is-better metric must go up
     assert bench_record.claim_met(_entry(parent, [p + 0.2 for p in parent], "higher"))
     assert not bench_record.claim_met(_entry(parent, ahead, "higher"))
+    # every pair won, but fewer than ten pairs
+    assert not bench_record.claim_met(_entry(parent[:9], ahead[:9]))
 
 
 def test_the_recorded_landscape_entry_is_reproduced():
@@ -56,3 +58,29 @@ def test_the_recorded_landscape_entry_is_reproduced():
                 assert stats == pytest.approx([entry[name][k] for k in ("median", "q1", "q3")])
     claim = record["claim"]
     assert bench_record.claim_met(record["workloads"][claim["workload"]][claim["metric"]]) == claim["met"]
+
+
+def test_main_runs_ten_pairs_at_the_benchmarks_run_length(tmp_path, monkeypatch):
+    benchmark = (ROOT / "BENCHMARK.json").read_text()
+    for name in ("parent", "change"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+        (tmp_path / name / "BENCHMARK.json").write_text(benchmark)
+    metrics = [m["name"] for m in json.loads(benchmark)["end_to_end"]]
+    calls = []
+
+    def fake_run(directory, workload, seconds):
+        calls.append((directory.name, seconds))
+        return {m: 1.0 if directory.name == "parent" else 0.5 for m in metrics}
+
+    monkeypatch.setattr(bench_record, "run_once", fake_run)
+    out = tmp_path / "BENCH_t.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--parent-id", "P", "--change", str(tmp_path / "change"),
+            "--change-id", "C", "--workload", "verify", "--claim", "verify:wall_s", "--out", str(out)]
+    assert bench_record.main(argv) == 0
+    run_seconds = json.loads(benchmark)["run_seconds"]
+    assert calls[:4] == [("parent", run_seconds), ("change", run_seconds), ("change", run_seconds),
+                         ("parent", run_seconds)]
+    record = json.loads(out.read_text())
+    assert record["pairs"] == len(calls) // 2 == bench_record.PAIRS
+    assert record["claim"]["met"]

@@ -2,13 +2,14 @@
 
     python3 tools/bench_record.py --parent DIR --parent-id SHA \\
         --change DIR --change-id SHA --workload verify [--workload landscape] \\
-        --pairs 10 --seconds 60 --claim verify:wall_s --out BENCH_topic.json
+        --claim verify:wall_s --out BENCH_topic.json
 
 Each directory holds one commit exported with `git archive` and no
 `__pycache__`; every run gets PYTHONDONTWRITEBYTECODE=1, so both sides stay
-in the same bytecode state.  For each workload, pair i runs
-`perfbench/run.py --workload W --seconds S --trace 0` once in each
-directory, the parent first in even pairs, one run at a time.  The record
+in the same bytecode state.  For each workload, each of the PAIRS pairs
+runs `perfbench/run.py --workload W --seconds S --trace 0` once in each
+directory, the parent first in even pairs, one run at a time; S is the
+`run_seconds` of the change's BENCHMARK.json.  The record
 holds every end-to-end metric of the change's BENCHMARK.json, in the layout
 README's Benchmark section describes.  A run that is not correct, or that
 prints no result line, stops the recording with exit code 1.
@@ -28,6 +29,7 @@ SETTING = (
     "each commit in its own directory made by git archive, no __pycache__, PYTHONDONTWRITEBYTECODE=1; "
     "pairs alternate which side runs first (parent first in even pairs); one run at a time"
 )
+PAIRS = 10
 
 
 def side(runs: list[float]) -> dict:
@@ -57,12 +59,13 @@ def compare(parent: list[float], change: list[float], unit: str, direction: str)
 
 
 def claim_met(entry: dict) -> bool:
-    """The change wins at least nine tenths of the pairs, and its median is
-    better by more than the parent's quartile spread."""
+    """There are at least PAIRS pairs, the change wins nine tenths of them,
+    and its median is better by more than the parent's quartile spread."""
     p, c = entry["parent"], entry["change"]
     gap = abs(c["median"] - p["median"])
     return (
-        10 * entry["pairs_won"] >= 9 * len(p["runs"])
+        len(p["runs"]) >= PAIRS
+        and 10 * entry["pairs_won"] >= 9 * len(p["runs"])
         and better(c["median"], p["median"], entry["better"])
         and gap > p["q3"] - p["q1"]
     )
@@ -96,27 +99,24 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="directory of the changed commit")
     parser.add_argument("--change-id", required=True)
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=60)
     parser.add_argument("--claim", required=True, help="workload:metric the gain is claimed on")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs needs at least 2 for quartiles")
     for directory in (args.parent, args.change):
         check_export(directory)
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     claim_workload, _, claim_metric = args.claim.partition(":")
     if claim_workload not in args.workload or claim_metric not in {m["name"] for m in metrics}:
         parser.error("--claim needs a workload that is run and an end-to-end metric of BENCHMARK.json")
     workloads = {}
     for workload in args.workload:
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for name in order:
-                runs[name].append(run_once(getattr(args, name), workload, args.seconds))
-                print(f"{workload} pair {i + 1}/{args.pairs} {name}: wall_s {runs[name][-1]['wall_s']:.5f}",
+                runs[name].append(run_once(getattr(args, name), workload, seconds))
+                print(f"{workload} pair {i + 1}/{PAIRS} {name}: wall_s {runs[name][-1]['wall_s']:.5f}",
                       file=sys.stderr)
         workloads[workload] = {
             m["name"]: compare(
@@ -128,8 +128,8 @@ def main(argv=None) -> int:
     record = {
         "parent": args.parent_id,
         "change": args.change_id,
-        "command": f"python3 perfbench/run.py --workload <workload> --seconds {args.seconds:g} --trace 0",
-        "pairs": args.pairs,
+        "command": f"python3 perfbench/run.py --workload <workload> --seconds {seconds:g} --trace 0",
+        "pairs": PAIRS,
         "setting": f"{SETTING}; {os.cpu_count()}-vCPU host",
         "claim": {
             "workload": claim_workload,
