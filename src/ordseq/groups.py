@@ -16,11 +16,14 @@ Every backing is a group either by an exact check of its Cayley table or
 by construction.  A group with a table, so every TableGroup and every
 group of at most TABLE_LIMIT elements, is checked on it (associativity by
 Light's test) and then multiplies by table lookup and reads its inverses
-off the table.  A larger group is a group by construction: a direct sum
-of cyclic groups, a direct product of groups, a closure of permutations
-under composition, or a cyclic extension whose action passed its exact
-check (Hoelder's conditions).  It takes its inverses from the power walk
-of element_orders.
+off the table.  A table is a tuple of bytes rows, one byte per entry, so
+a TableGroup has at most 256 elements; the rows are built and checked
+with bytes operations (translate, join, index, max) that run in C, and
+every check stays exact.  A larger group is a group by construction: a
+direct sum of cyclic groups, a direct product of groups, a closure of
+permutations under composition, or a cyclic extension whose action
+passed its exact check (Hoelder's conditions).  It takes its inverses
+from the power walk of element_orders.
 
 The public constructors are memoized (lru_cache), so each distinct group
 is built and checked once per process and the same call returns the
@@ -33,8 +36,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import chain
-from operator import itemgetter
 
 from .errors import (
     ActionNotAutomorphism,
@@ -76,21 +77,29 @@ def _right_generators(candidates, mul) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _cyclic_rows(n: int) -> tuple[tuple[int, ...], ...]:
+def _cyclic_rows(n: int) -> tuple[bytes, ...]:
     """Cayley table of the integers mod n: each row is a rotation."""
-    return tuple(tuple(chain(range(a, n), range(a))) for a in range(n))
+    row = bytes(range(n))
+    return tuple(row[a:] + row[:a] for a in range(n))
 
 
-def _product_rows(left_rows, right_rows) -> tuple[tuple[int, ...], ...]:
-    """Cayley table of the direct product, with index a1 * |right| + a2."""
+def _product_rows(left_rows, right_rows) -> tuple[bytes, ...]:
+    """Cayley table of the direct product, with index a1 * |right| + a2.
+
+    Row (a1, a2) is one block per entry x of left row a1: right row a2
+    with each y translated to x * |right| + y.
+    """
     h = len(right_rows)
-    return tuple(tuple(x * h + y for x in lrow for y in rrow) for lrow in left_rows for rrow in right_rows)
+    pad = bytes(256 - h)
+    shifts = [bytes(range(x * h, x * h + h)) + pad for x in range(len(left_rows))]
+    blocks = [[rrow.translate(shift) for shift in shifts] for rrow in right_rows]
+    return tuple(b"".join(map(block.__getitem__, lrow)) for lrow in left_rows for block in blocks)
 
 
 class FiniteGroup:
     """Base class; subclasses implement mul and end __init__ with _finalize, which binds inv."""
 
-    table: tuple[tuple[int, ...], ...] | None = None  # Cayley table rows; see _finalize
+    table: tuple[bytes, ...] | None = None  # Cayley table rows; see _finalize
 
     def __init__(self, size: int, name: str | None):
         # subclasses format their default names after this, as a huge size cannot be printed
@@ -157,13 +166,18 @@ class FiniteGroup:
         A TableGroup sets `table` first, at any size, and every other
         backing does so from its structure when it has at most
         TABLE_LIMIT elements (a product from its factors' tables).  On a
-        table the checks are exact: every row has a 0, every product is an
-        index, 0 is a two-sided identity, the right inverse of every g
-        (where its row has the 0) is a left inverse too, and Light's test
-        proves associativity.  Then `mul` and `inv` read the table.  A
-        group without one is a group by construction (see the module
-        docstring); it only walks its powers, which binds `inv` and refuses
-        a backing whose powers never reach the identity.
+        table, a tuple of bytes rows, the checks are exact: every row has a
+        0, every product is an index (bytes hold no negative entry, so one
+        max per row), 0 is a two-sided identity (row 0 and column 0 are
+        the bytes 0..n-1), the right inverse of every g (where its row has
+        the 0) is a left inverse too, and Light's test proves
+        associativity.  For each kept generator a and every x, Light's
+        test needs (x*a)*y = x*(a*y) for all y: row x*a must equal row a
+        read through row x, which is rows[a].translate(row x padded to
+        256 bytes), one C call per row.  Then `mul` and `inv` read the
+        table.  A group without one is a group by construction (see the
+        module docstring); it only walks its powers, which binds `inv` and
+        refuses a backing whose powers never reach the identity.
         """
         n = self.size
         rows = self.table
@@ -176,19 +190,21 @@ class FiniteGroup:
                 invs.append(row.index(0))
             except ValueError:
                 raise PreconditionError(f"element {g} has no right inverse") from None
-        if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+        if max(map(max, rows)) >= n:
             raise PreconditionError("a product is not an element index")
-        elements = tuple(range(n))
-        for g in elements:
-            if rows[0][g] != g or rows[g][0] != g:
-                raise PreconditionError(f"index 0 is not an identity at {g}")
+        elements = bytes(range(n))
+        if rows[0] != elements or bytes(row[0] for row in rows) != elements:
+            g = next(g for g in elements if rows[0][g] != g or rows[g][0] != g)
+            raise PreconditionError(f"index 0 is not an identity at {g}")
         for g, h in enumerate(invs):
             if rows[h][g] != 0:
                 raise PreconditionError(f"{h} fails as the inverse of {g}")
+        pad = bytes(256 - n)
+        lookup = [row + pad for row in rows]
         for a in _right_generators(elements, lambda x, a: rows[x][a]):
-            right = itemgetter(*rows[a])
+            right = rows[a]
             for x, row in enumerate(rows):
-                if rows[row[a]] != right(row):
+                if rows[row[a]] != right.translate(lookup[x]):
                     y = next(y for y in elements if rows[row[a]][y] != row[rows[a][y]])
                     raise PreconditionError(f"associativity fails at ({x}, {a}, {y})")
 
@@ -228,7 +244,7 @@ class FiniteGroup:
         return all(self.mul(a, b) in s for a in s for b in s)
 
     def subgroup(self, elems, name: str | None = None) -> "TableGroup":
-        """Reindex a closed subset as a standalone group."""
+        """Reindex a closed subset as a standalone group (a TableGroup, so at most 256 elements)."""
         s = sorted(set(elems))
         if not self.is_subgroup(s):
             raise NotSubgroup(f"{len(s)} elements do not form a subgroup of {self.name}")
@@ -249,7 +265,7 @@ class FiniteGroup:
         return all(self.conjugate(g, a) in s for g in self.generating_sequence() for a in s)
 
     def quotient(self, elems, name: str | None = None) -> "TableGroup":
-        """Quotient by a normal subgroup; the identity coset gets index 0."""
+        """Quotient by a normal subgroup, as a TableGroup of at most 256 elements; the identity coset gets index 0."""
         s = sorted(set(elems))
         if not self.is_subgroup(s):
             raise NotSubgroup(f"{len(s)} elements do not form a subgroup of {self.name}")
@@ -413,7 +429,7 @@ class AbelianGroup(FiniteGroup):
             s *= m
         self._strides = tuple(strides)
         if self.size <= TABLE_LIMIT:
-            self.table = reduce(_product_rows, map(_cyclic_rows, moduli)) if moduli else ((0,),)
+            self.table = reduce(_product_rows, map(_cyclic_rows, moduli)) if moduli else (b"\0",)
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:
@@ -486,11 +502,11 @@ class CyclicExtensionGroup(FiniteGroup):
         if self.size <= TABLE_LIMIT:
             # blocks[i][t] lists x g**i * y g**j over j < k for t = x * gen_perm**i(y); past g**k, t becomes t*z
             blocks = [
-                [(*range(t * k + i, t * k + k), *range(tz * k, tz * k + i)) for t, tz in enumerate(self.times_z)]
+                [bytes((*range(t * k + i, t * k + k), *range(tz * k, tz * k + i))) for t, tz in enumerate(self.times_z)]
                 for i in range(k)
             ]
             self.table = tuple(
-                tuple(chain.from_iterable(map(block.__getitem__, map(row.__getitem__, perm))))
+                b"".join(map(block.__getitem__, map(row.__getitem__, perm)))
                 for row in target.table
                 for block, perm in zip(blocks, perms)
             )
@@ -542,7 +558,7 @@ class PermutationGroup(FiniteGroup):
                     y = right[x]
                     if cols[y] is None:
                         cols[y] = tuple(map(right.__getitem__, cols[x]))
-            self.table = tuple(zip(*cols))
+            self.table = tuple(map(bytes, zip(*cols)))
         self._finalize()
 
     def mul(self, a: int, b: int) -> int:
@@ -551,12 +567,23 @@ class PermutationGroup(FiniteGroup):
 
 
 class TableGroup(FiniteGroup):
-    """Group given by an explicit multiplication table."""
+    """Group given by an explicit multiplication table of at most 256 elements.
+
+    Each row is stored as bytes, one byte per entry, which is where the
+    cap comes from.
+    """
 
     def __init__(self, table, name: str | None = None):
-        rows = tuple(tuple(row) for row in table)
+        rows = tuple(table)
         n = len(rows)
         super().__init__(n, name or f"Table{n}")
+        if n > 256:
+            raise SizeLimitError("a Cayley table is capped at 256 elements, one byte per entry")
+        try:
+            # iter() first: bytes(5) would be five zero bytes, not an error
+            rows = tuple(bytes(iter(row)) for row in rows)
+        except (TypeError, ValueError):
+            raise PreconditionError("a product is not an element index") from None
         if any(len(row) != n for row in rows):
             raise PreconditionError("each table row must list an index for every element")
         self.table = rows  # _finalize checks it and then serves mul and inv from it

@@ -602,11 +602,28 @@ def _right_closure(rows, gens):
         ([[0, 1, 2], [1, 0, 2], [2, 2, 0]], "associativity"),
         ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "inverse"),
         ([[1, 0], [0, 1]], "identity"),
+        # entries are stored as bytes, which hold neither of these
+        ([[0, 1], [-1, 0]], "not an element index"),
+        ([[0, 1], [256, 0]], "not an element index"),
+        ([[0, 1], [1.0, 0]], "not an element index"),
+        # a row that is not a list: bytes(1) would be one zero byte, a trivial table
+        ([1], "not an element index"),
+        # row 0 is the identity row, column 0 is not
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "identity at 1"),
     ],
 )
 def test_malformed_tables_are_refused(table, error):
     with pytest.raises(PreconditionError, match=error):
         TableGroup(table)
+
+
+def test_tables_past_one_byte_per_entry_are_refused():
+    n = 257
+    with pytest.raises(SizeLimitError, match="256 elements"):
+        TableGroup([[(a + b) % n for b in range(n)] for a in range(n)])
+    # at 256 every byte value is an element and Light's test pads nothing
+    g = TableGroup([[(a + b) % 256 for b in range(256)] for a in range(256)])
+    assert g.mul(255, 3) == 2 and g.inv(1) == 255
 
 
 def test_a5_with_one_altered_entry_is_refused():
@@ -740,7 +757,7 @@ def test_structural_tables_match_their_mul():
     assert {type(g) for g in groups} == set(_STRUCTURAL)
     for g in groups:
         mul, n = type(g).mul, g.size
-        assert g.table == tuple(tuple(mul(g, a, b) for b in range(n)) for a in range(n)), g.name
+        assert g.table == tuple(bytes(mul(g, a, b) for b in range(n)) for a in range(n)), g.name
 
 
 def test_structural_backings_build_without_mul(monkeypatch, fresh_builds):
