@@ -2,11 +2,11 @@
 
     python3 tools/mutants.py
 
-Run from anywhere inside a git checkout.  The tool exports the committed
-HEAD with `git archive` into a temporary directory, so uncommitted edits
-are not seen.  It first runs the test files the entries name, unmutated,
-and stops with exit code 2 if they fail.  Then, for each entry of
-MUTANTS, it replaces the entry's old text (which must occur exactly once
+The tool exports the committed HEAD of the checkout it sits in with
+`git archive` into a temporary directory, so uncommitted edits are not
+seen.  It first runs the test files the entries name, unmutated, and
+stops with exit code 2 if they fail.  Then, for each entry of MUTANTS,
+it replaces the entry's old text (which must occur exactly once
 in its file) by the new text, runs `python -m pytest -x -q` on the
 entry's test files with PYTHONPATH=src, and puts the file back.  A
 mutant is killed when that run fails or takes longer than TIMEOUT_S; it
@@ -27,6 +27,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 
 GROUPS, SEQUENCES, POSETS = "src/ordseq/groups.py", "src/ordseq/sequences.py", "src/ordseq/posets.py"
@@ -40,6 +41,13 @@ MUTANTS = [
     (GROUPS, "bytes(range(x * h, x * h + h)) + pad", "bytes(range(x * h + 1, x * h + h + 1)) + pad", [TEST_GROUPS]),
     # the range check lets an entry equal to the size through
     (GROUPS, "if max(map(max, rows)) >= n:", "if max(map(max, rows)) > n:", [TEST_GROUPS]),
+    # a row given as an int becomes that many zero bytes
+    (
+        GROUPS,
+        "rows = tuple(bytes(iter(row)) for row in rows)",
+        "rows = tuple(bytes(row) for row in rows)",
+        [TEST_GROUPS],
+    ),
     # the identity check reads row 0 only, not column 0
     (
         GROUPS,
@@ -100,11 +108,9 @@ def run_tests(directory: Path, tests: list[str]) -> str:
 
 
 def main() -> int:
-    root = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True,
-                               check=True).stdout.strip())
     with tempfile.TemporaryDirectory(prefix="ordseq-mutants-") as tmp:
         work = Path(tmp)
-        export(root, work)
+        export(ROOT, work)
         every_test = sorted({t for *_, tests in MUTANTS for t in tests})
         if run_tests(work, every_test) != "passed":
             print("error: the unmutated tests do not pass", file=sys.stderr)
