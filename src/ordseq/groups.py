@@ -12,23 +12,22 @@ generator-image search, which returns the isomorphism it finds.
 A cyclic group is the AbelianGroup of one modulus; dihedral, dicyclic,
 Heisenberg and (in fields) affine groups are CyclicExtensionGroups.
 
-Every backing is a group either by an exact check of its Cayley table or
-by construction.  A group with a table, so every TableGroup and every
-group of at most TABLE_LIMIT elements, is checked on it (associativity by
-Light's test) and then multiplies by table lookup and reads its inverses
-off the table.  A table is a tuple of bytes rows, one byte per entry, so
-a TableGroup has at most 256 elements; the rows are built and checked
-with bytes operations (translate, join, index, max) that run in C, and
-every check stays exact.  A larger group is a group by construction: a
-direct sum of cyclic groups, a direct product of groups, a closure of
-permutations under composition, or a cyclic extension whose action
-passed its exact check (Hoelder's conditions).  It takes its inverses
-from the power walk of element_orders.
+Every group a constructor builds is a group by construction, at every
+size: a direct sum of cyclic groups, a direct product of groups, a
+closure of permutations under composition, or a cyclic extension whose
+action passed its exact check (Hoelder's conditions).  Only a table
+handed in from outside, so every TableGroup's (subgroup and quotient
+return them), is checked at run time, exactly, by _check_table.  A table
+is a tuple of bytes rows, one byte per entry, built and checked with
+bytes operations that run in C, so a TableGroup has at most 256
+elements.  Constructors tabulate groups of at most TABLE_LIMIT elements
+for speed only (the tests check those tables exactly); a group without a
+table takes its inverses from the power walk of element_orders.
 
 The public constructors are memoized (lru_cache), so each distinct group
-is built and checked once per process and the same call returns the
-same object; a refused build is not cached.  Groups are never changed
-after they are built, so sharing them is safe.
+is built once per process and the same call returns the same object;
+a refused build is not cached.  Groups are never changed after they are
+built, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -68,13 +67,51 @@ def _right_generators(candidates, mul) -> tuple[int, ...]:
         if g in seen:
             continue
         gens.append(g)
-        for x in reached:
-            for a in gens:
+        # reached is closed under the earlier gens, so old elements need only x*g
+        old = len(reached)
+        for i, x in enumerate(reached):
+            for a in gens[-1:] if i < old else gens:
                 y = mul(x, a)
                 if y not in seen:
                     seen.add(y)
                     reached.append(y)
     return tuple(gens)
+
+
+def _check_table(rows) -> None:
+    """Refuse bytes rows that are not the Cayley table of a group with identity 0.
+
+    Exactly: every row has a 0, every product is an index (one max per
+    row), row 0 and column 0 are the bytes 0..n-1, the right inverse of g
+    (where its row has the 0) is a left inverse too, and Light's test
+    proves associativity.  For each kept generator a and every x, row x*a
+    must equal row a read through row x: rows[a].translate(row x padded
+    to 256 bytes), one C call per row.
+    """
+    n = len(rows)
+    invs = []
+    for g, row in enumerate(rows):
+        try:
+            invs.append(row.index(0))
+        except ValueError:
+            raise PreconditionError(f"element {g} has no right inverse") from None
+    if max(map(max, rows)) >= n:
+        raise PreconditionError("a product is not an element index")
+    elements = bytes(range(n))
+    if rows[0] != elements or bytes(row[0] for row in rows) != elements:
+        g = next(g for g in elements if rows[0][g] != g or rows[g][0] != g)
+        raise PreconditionError(f"index 0 is not an identity at {g}")
+    for g, h in enumerate(invs):
+        if rows[h][g] != 0:
+            raise PreconditionError(f"{h} fails as the inverse of {g}")
+    pad = bytes(256 - n)
+    lookup = [row + pad for row in rows]
+    for a in _right_generators(elements, lambda x, a: rows[x][a]):
+        right = rows[a]
+        for x, row in enumerate(rows):
+            if rows[row[a]] != right.translate(lookup[x]):
+                y = next(y for y in elements if rows[row[a]][y] != row[rows[a][y]])
+                raise PreconditionError(f"associativity fails at ({x}, {a}, {y})")
 
 
 def _cyclic_rows(n: int) -> tuple[bytes, ...]:
@@ -161,59 +198,17 @@ class FiniteGroup:
         return reduce(math.lcm, set(self.element_orders()), 1)
 
     def _finalize(self) -> None:
-        """Check the group axioms on the finished backing.
-
-        A TableGroup sets `table` first, at any size, and every other
-        backing does so from its structure when it has at most
-        TABLE_LIMIT elements (a product from its factors' tables).  On a
-        table, a tuple of bytes rows, the checks are exact: every row has a
-        0, every product is an index (bytes hold no negative entry, so one
-        max per row), 0 is a two-sided identity (row 0 and column 0 are
-        the bytes 0..n-1), the right inverse of every g (where its row has
-        the 0) is a left inverse too, and Light's test proves
-        associativity.  For each kept generator a and every x, Light's
-        test needs (x*a)*y = x*(a*y) for all y: row x*a must equal row a
-        read through row x, which is rows[a].translate(row x padded to
-        256 bytes), one C call per row.  Then `mul` and `inv` read the
-        table.  A group without one is a group by construction (see the
-        module docstring); it only walks its powers, which binds `inv` and
-        refuses a backing whose powers never reach the identity.
+        """Serve `mul` and `inv` from the table, where the inverse of g is
+        where row g has the 0; checks nothing (see the module docstring).
+        Without a table, the power walk binds `inv` and refuses a backing
+        whose powers never reach the identity.
         """
-        n = self.size
         rows = self.table
         if rows is None:
             self.element_orders()
             return
-        invs = []
-        for g, row in enumerate(rows):
-            try:
-                invs.append(row.index(0))
-            except ValueError:
-                raise PreconditionError(f"element {g} has no right inverse") from None
-        if max(map(max, rows)) >= n:
-            raise PreconditionError("a product is not an element index")
-        elements = bytes(range(n))
-        if rows[0] != elements or bytes(row[0] for row in rows) != elements:
-            g = next(g for g in elements if rows[0][g] != g or rows[g][0] != g)
-            raise PreconditionError(f"index 0 is not an identity at {g}")
-        for g, h in enumerate(invs):
-            if rows[h][g] != 0:
-                raise PreconditionError(f"{h} fails as the inverse of {g}")
-        pad = bytes(256 - n)
-        lookup = [row + pad for row in rows]
-        for a in _right_generators(elements, lambda x, a: rows[x][a]):
-            right = rows[a]
-            for x, row in enumerate(rows):
-                if rows[row[a]] != right.translate(lookup[x]):
-                    y = next(y for y in elements if rows[row[a]][y] != row[rows[a][y]])
-                    raise PreconditionError(f"associativity fails at ({x}, {a}, {y})")
-
-        def mul(a: int, b: int) -> int:
-            return rows[a][b]
-
-        self.table = rows
-        self.mul = mul
-        self.inv = tuple(invs).__getitem__
+        self.mul = lambda a, b: rows[a][b]
+        self.inv = tuple(row.index(0) for row in rows).__getitem__
 
     def _elements(self, elems) -> set[int]:
         """The indices as a set, each checked to be an element."""
@@ -569,8 +564,8 @@ class PermutationGroup(FiniteGroup):
 class TableGroup(FiniteGroup):
     """Group given by an explicit multiplication table of at most 256 elements.
 
-    Each row is stored as bytes, one byte per entry, which is where the
-    cap comes from.
+    The table is checked exactly by _check_table.  Each row is stored as
+    bytes, one byte per entry, which is where the cap comes from.
     """
 
     def __init__(self, table, name: str | None = None):
@@ -586,7 +581,8 @@ class TableGroup(FiniteGroup):
             raise PreconditionError("a product is not an element index") from None
         if any(len(row) != n for row in rows):
             raise PreconditionError("each table row must list an index for every element")
-        self.table = rows  # _finalize checks it and then serves mul and inv from it
+        _check_table(rows)
+        self.table = rows
         self._finalize()
 
 

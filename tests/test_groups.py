@@ -29,6 +29,7 @@ from ordseq.groups import (
     FiniteGroup,
     PermutationGroup,
     TableGroup,
+    _check_table,
     _right_generators,
     abelian,
     alternating,
@@ -143,8 +144,8 @@ def _row_search_inverse(g, a):
     ids=["C65", "C5xC13", "C3xC3^3", "D130", "Dic68", "Heis5", "S5", "Aff(2,6,7)"],
 )
 def test_inverses_from_the_power_walk(build):
-    # past the table limit every backing is a group by construction and takes
-    # its inverses from element_orders; the group axioms are the oracle here
+    # past the table limit a backing has no table and takes its inverses
+    # from element_orders; the group axioms are the oracle here
     g = build()
     n, mul = g.size, g.mul
     assert n > TABLE_LIMIT and g.table is None
@@ -697,13 +698,28 @@ def test_right_generators_reach_everything_and_none_is_spare():
                 assert len(_right_closure(g.table, gens[:-1])) < n, name
 
 
+def test_right_generators_take_each_product_once():
+    # a kept generator multiplies the elements reached before it, and each
+    # element reached after it is multiplied by every kept generator: so the
+    # products taken are exactly x*a for every x and every kept a, none twice
+    for n in supported_orders():
+        for name, g in catalog(n):
+            ranked = sorted(range(n), key=g.element_orders().__getitem__, reverse=True)
+            for candidates in (range(n), ranked):
+                pairs = []
+                gens = _right_generators(candidates, lambda x, a: pairs.append((x, a)) or g.mul(x, a))
+                assert len(pairs) == len(set(pairs)) == n * len(gens), name
+                assert set(pairs) == {(x, a) for x in range(n) for a in gens}, name
+            assert gens == g.generating_sequence(), name
+
+
 def test_table_limit_boundary():
     at, past = cyclic(TABLE_LIMIT), cyclic(TABLE_LIMIT + 1)
     assert at.table is not None and past.table is None
     assert all(at.mul(a, b) == (a + b) % TABLE_LIMIT for a in range(TABLE_LIMIT) for b in range(TABLE_LIMIT))
     assert order_sequence(at) == cyclic_order_sequence(TABLE_LIMIT)
     assert order_sequence(past) == cyclic_order_sequence(TABLE_LIMIT + 1)
-    # a product past the limit is a group by construction, one at the limit tabulated
+    # a product past the limit has no table, one at the limit has
     assert direct_product(cyclic(2), abelian([2] * 5)).table is not None
     wide = direct_product(cyclic(3), abelian([3] * 3))
     assert wide.table is None
@@ -720,8 +736,9 @@ def _verify_affine_groups():
 
 
 def test_every_backing_is_a_table_or_structural():
-    # _finalize checks only tables, so a backing that built none at
-    # TABLE_LIMIT or below would lose its exact checks unseen
+    # only a TableGroup's table is checked at run time; the structural
+    # backings' tables are checked by test_structural_tables_match_their_mul,
+    # so a backing that is neither would have its tables checked nowhere
     for module in pkgutil.iter_modules(ordseq.__path__):
         importlib.import_module(f"ordseq.{module.name}")
     backings, todo = set(), list(FiniteGroup.__subclasses__())
@@ -734,19 +751,25 @@ def test_every_backing_is_a_table_or_structural():
 
 
 def test_structural_tables_match_their_mul():
-    # the table handed to _finalize and the one the class's own mul fills agree entry by entry
+    # no constructor's table is checked at run time, so here every one up to
+    # TABLE_LIMIT agrees entry by entry with the one the class's own mul fills
+    # and passes the exact check a TableGroup's table gets
     groups = [
-        cyclic(1),
         abelian([]),
         abelian([1, 4]),
         direct_product(cyclic(1), symmetric(3)),
         direct_product(symmetric(3), cyclic(1)),
         CyclicExtensionGroup(cyclic(7), 1, range(7)),
         heisenberg(3),
-        symmetric(1),
-        alternating(2),
-        dihedral(64),
+        *(cyclic(n) for n in range(1, TABLE_LIMIT + 1)),
+        *(dihedral(n) for n in range(2, TABLE_LIMIT + 1, 2)),
+        *(dicyclic(n) for n in range(4, TABLE_LIMIT + 1, 4)),
+        *map(abelian, ([2, 2], [4, 2], [3, 3], [2, 2, 2], [2, 3, 4], [4, 4, 4], [8, 8], [2] * 6)),
         direct_product(cyclic(2), abelian([2] * 5)),
+        direct_product(cyclic(4), dicyclic(16)),
+        direct_product(symmetric(3), dihedral(8)),
+        *(symmetric(m) for m in range(1, 5)),
+        *(alternating(m) for m in range(1, 6)),
         *_verify_affine_groups(),
     ]
     for n in supported_orders():
@@ -758,10 +781,13 @@ def test_structural_tables_match_their_mul():
     for g in groups:
         mul, n = type(g).mul, g.size
         assert g.table == tuple(bytes(mul(g, a, b) for b in range(n)) for a in range(n)), g.name
+        _check_table(g.table)
 
 
 def test_structural_backings_build_without_mul(monkeypatch, fresh_builds):
     calls = []
+    # only a TableGroup's table is checked at run time
+    monkeypatch.setattr(groups, "_check_table", calls.append)
     for cls in _STRUCTURAL:
         def counted(self, a, b, _mul=cls.mul):
             calls.append(type(self))

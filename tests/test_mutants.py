@@ -23,3 +23,22 @@ def test_apply_refuses_a_missing_or_repeated_text():
     for text in ("b", "a a"):
         with pytest.raises(ValueError, match="not once"):
             mutants.apply(text, "a", "c")
+
+
+def test_failing_unmutated_tests_print_the_end_of_pytests_output(monkeypatch, capsys):
+    # a stub export whose one test prints 100 lines and fails
+    def export(root, into):
+        (into / "tests").mkdir()
+        (into / "tests" / "test_stub.py").write_text(
+            "def test_stub():\n    print('\\n'.join(f'line {i:03}' for i in range(100)))\n    assert 'stub' == 'broken'\n"
+        )
+
+    monkeypatch.setattr(mutants, "export", export)
+    monkeypatch.setattr(mutants, "MUTANTS", [("tests/test_stub.py", "stub", "stub", ["tests/test_stub.py"])])
+    assert mutants.main() == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and lines[0].startswith("error: the unmutated tests do not pass (failed)")
+    # the last 30 lines: the failure summary, not the start of the captured output
+    assert len(lines) == 31 and "line 000" not in err
+    assert "1 failed" in lines[-1] and any("'broken'" in line for line in lines)

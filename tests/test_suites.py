@@ -310,8 +310,9 @@ def test_partition_suite_makes_one_box_move_per_pair(monkeypatch):
 
 @pytest.fixture
 def builds(monkeypatch, fresh_builds):
-    """Names of the groups built (their axioms checked) from here on, in order;
-    the catalogs are built, the memoized constructors are not."""
+    """Names of the groups built (each backing ends its __init__ with
+    _finalize) from here on, in order; the catalogs are built, the memoized
+    constructors are not."""
     names = []
     finalize = FiniteGroup._finalize
 

@@ -5,13 +5,13 @@
 The tool exports the committed HEAD of the checkout it sits in with
 `git archive` into a temporary directory, so uncommitted edits are not
 seen.  It first runs the test files the entries name, unmutated, and
-stops with exit code 2 if they fail.  Then, for each entry of MUTANTS,
-it replaces the entry's old text (which must occur exactly once
-in its file) by the new text, runs `python -m pytest -x -q` on the
-entry's test files with PYTHONPATH=src, and puts the file back.  A
-mutant is killed when that run fails or takes longer than TIMEOUT_S; it
-survives when the run passes.  The exit code is 1 if any mutant
-survives, else 0.
+stops with exit code 2 if they fail, printing the last 30 lines of
+pytest's output.  Then, for each entry of MUTANTS, it replaces the
+entry's old text (which must occur exactly once in its file) by the new
+text, runs `python -m pytest -x -q` on the entry's test files with
+PYTHONPATH=src, and puts the file back.  A mutant is killed when that
+run fails or takes longer than TIMEOUT_S; it survives when the run
+passes.  The exit code is 1 if any mutant survives, else 0.
 
 Each entry is a fault a test is meant to catch.  A mutant that changes
 no behaviour (an equivalent mutant) does not belong in the list; never
@@ -55,6 +55,19 @@ MUTANTS = [
         "if rows[0] != elements:",
         [TEST_GROUPS],
     ),
+    # the cyclic table rotates each row the wrong way
+    (
+        GROUPS,
+        "return tuple(row[a:] + row[:a] for a in range(n))",
+        "return tuple(row[-a:] + row[:-a] for a in range(n))",
+        [TEST_GROUPS],
+    ),
+    # an extension's table wraps past g**k without multiplying by z
+    (GROUPS, "*range(tz * k, tz * k + i)", "*range(t * k, t * k + i)", [TEST_GROUPS]),
+    # a permutation group's column map multiplies on the left, not the right
+    (GROUPS, "index[tuple(map(pc.__getitem__, g))]", "index[tuple(map(g.__getitem__, pc))]", [TEST_GROUPS]),
+    # the generator walk skips the elements reached before a new generator
+    (GROUPS, "for a in gens[-1:] if i < old else gens:", "for a in () if i < old else gens:", [TEST_GROUPS]),
     # the isomorphism key depends on the element numbering
     (
         GROUPS,
@@ -96,15 +109,18 @@ def export(root: Path, into: Path) -> None:
     archive.unlink()
 
 
-def run_tests(directory: Path, tests: list[str]) -> str:
-    """'passed', 'failed' or 'timed out', for pytest -x on tests in directory."""
+def run_tests(directory: Path, tests: list[str]) -> tuple[str, str]:
+    """'passed', 'failed' or 'timed out', for pytest -x on tests in directory, and pytest's output."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        proc = subprocess.run(cmd, cwd=directory, env=env, capture_output=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return "timed out"
-    return "passed" if proc.returncode == 0 else "failed"
+        proc = subprocess.run(
+            cmd, cwd=directory, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired as timeout:
+        # the partial output of a run cut short is bytes even in text mode
+        return "timed out", (timeout.output or b"").decode(errors="replace")
+    return "passed" if proc.returncode == 0 else "failed", proc.stdout
 
 
 def main() -> int:
@@ -112,8 +128,10 @@ def main() -> int:
         work = Path(tmp)
         export(ROOT, work)
         every_test = sorted({t for *_, tests in MUTANTS for t in tests})
-        if run_tests(work, every_test) != "passed":
-            print("error: the unmutated tests do not pass", file=sys.stderr)
+        verdict, output = run_tests(work, every_test)
+        if verdict != "passed":
+            print(f"error: the unmutated tests do not pass ({verdict}); the end of pytest's output:", file=sys.stderr)
+            print("\n".join(output.splitlines()[-30:]), file=sys.stderr)
             return 2
         survivors = 0
         for number, (file, old, new, tests) in enumerate(MUTANTS, start=1):
@@ -121,7 +139,7 @@ def main() -> int:
             original = path.read_text()
             path.write_text(apply(original, old, new))
             try:
-                verdict = run_tests(work, tests)
+                verdict, _ = run_tests(work, tests)
             finally:
                 path.write_text(original)
             survived = verdict == "passed"
